@@ -5,6 +5,10 @@ cd "$(dirname "$0")"
 
 cargo build --workspace --release
 cargo test -q --workspace
+# The repo benchmark (perfbench/) is its own Cargo workspace, so the
+# workspace tests do not build it; its smoke test catches a read/serve API
+# change that would break the benchmark.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 # The resilience suite is the gate for storage-fault behaviour; run it
 # explicitly so a filtered or partial test invocation cannot skip it.
 cargo test -q --test failure_injection

@@ -82,29 +82,19 @@ pub fn density_histogram<S: Storage>(
 }
 
 /// Density histogram estimated from a LOD prefix covering `fraction` of
-/// the dataset — reads only proportional prefixes of every file.
+/// the dataset — reads only verified proportional prefixes of every file.
 pub fn density_histogram_lod<S: Storage>(
     reader: &DatasetReader,
     storage: &S,
     bins: usize,
     fraction: f64,
 ) -> Result<Histogram, SpioError> {
-    use spio_format::data_file::{decode_prefix, payload_range};
-    use spio_format::LodParams;
     let (lo, hi) = density_bounds(reader);
     let mut h = Histogram::new(lo, hi, bins);
     let total = reader.meta.total_particles;
     let target = (total as f64 * fraction.clamp(0.0, 1.0)).round() as u64;
-    for entry in &reader.meta.entries {
-        let take = LodParams::file_prefix(entry.particle_count, total, target);
-        if take == 0 {
-            continue;
-        }
-        let (_, end) = payload_range(0, take as usize);
-        let bytes = storage.read_range(&entry.file_name(), 0, end)?;
-        let (_, ps) = decode_prefix(&bytes, take as usize)?;
-        h.add_densities(&ps);
-    }
+    let (ps, _) = reader.read_lod_prefix(storage, target)?;
+    h.add_densities(&ps);
     Ok(h)
 }
 
@@ -210,6 +200,21 @@ mod tests {
         assert!(d_rough < 0.5, "even 2% is a usable estimate: {d_rough}");
         // And the rough estimate read ~2% of the data.
         assert!(rough.total() < exact.total() / 20);
+    }
+
+    #[test]
+    fn lod_estimate_verifies_checksums() {
+        let storage = dataset();
+        let reader = DatasetReader::open(&storage).unwrap();
+        let name = reader.meta.entries[0].file_name();
+        let mut bytes = storage.read_file(&name).unwrap();
+        // One bit of the first particle record's payload.
+        bytes[spio_format::data_file::HEADER_BYTES + 3] ^= 0x10;
+        storage.write_file(&name, &bytes).unwrap();
+        assert!(matches!(
+            density_histogram_lod(&reader, &storage, 16, 1.0),
+            Err(SpioError::Format(_))
+        ));
     }
 
     #[test]

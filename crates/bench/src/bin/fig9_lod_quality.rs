@@ -25,23 +25,11 @@ fn main() {
     // Emit PPM renders of each fraction (the Fig. 9 panels) next to the
     // harness outputs.
     if let Ok(out_dir) = std::env::var("FIG9_PPM_DIR") {
-        use spio_core::{DatasetReader, Storage as _};
-        let reader = DatasetReader::open(&storage).unwrap();
+        let reader = spio_core::DatasetReader::open(&storage).unwrap();
         for frac in [0.25, 0.5, 0.75, 1.0] {
             // Proper LOD prefixes: a proportional slice of every file.
             let target = (reader.meta.total_particles as f64 * frac).round() as u64;
-            let mut prefix = Vec::new();
-            for entry in &reader.meta.entries {
-                let take = spio_format::LodParams::file_prefix(
-                    entry.particle_count,
-                    reader.meta.total_particles,
-                    target,
-                );
-                let (_, end) = spio_format::data_file::payload_range(0, take as usize);
-                let bytes = storage.read_range(&entry.file_name(), 0, end).unwrap();
-                let (_, ps) = spio_format::data_file::decode_prefix(&bytes, take as usize).unwrap();
-                prefix.extend(ps);
-            }
+            let (prefix, _) = reader.read_lod_prefix(&storage, target).unwrap();
             let img = fig9::render_ppm(&prefix, &reader.meta.domain, 480, 480);
             let path = format!("{out_dir}/fig9_{:03}pct.ppm", (frac * 100.0) as u32);
             std::fs::write(&path, img).expect("write ppm");

@@ -8,12 +8,24 @@
 //! most particles. LOD reads exploit the shuffled layout: a file prefix is
 //! a uniform subsample, and appending the next level is a further
 //! sequential read.
+//!
+//! Every data-file read in the workspace — box, scan, density, partial,
+//! LOD cursor, proportional prefix, and `spio-serve`'s block loads — is one
+//! per-file kernel: fetch → verify → decode → filter. Callers choose which
+//! files to touch and what to do when one fails; this module owns the rest:
+//!
+//! * [`fetch_file`] reads a file whole, verifying its header and every
+//!   payload chunk;
+//! * [`PrefixFile`] extends a file's verified LOD prefix by one ranged
+//!   payload read;
+//! * [`Predicate`] is the one box / box + density particle filter.
 
 use crate::stats::ReadStats;
 use crate::storage::Storage;
 use spio_comm::Comm;
 use spio_format::data_file::{
-    decode_data_file, footer_range, payload_range, DataFileHeader, HEADER_BYTES,
+    decode_checksum_footer, decode_data_file, footer_range, payload_range, DataFileHeader,
+    HEADER_BYTES,
 };
 use spio_format::{LodParams, SpatialMetadata, META_FILE_NAME};
 use spio_trace::Trace;
@@ -29,6 +41,201 @@ pub mod phases {
     pub const RANGE: &str = "read:range";
     pub const LOD: &str = "read:lod";
     pub const PARTIAL: &str = "read:partial";
+}
+
+/// Fetch one data file whole and decode it, verifying the v2 header CRC
+/// and every payload chunk against the checksum footer. The file counts
+/// toward `stats` once its bytes arrive, even if they then fail to decode.
+pub fn fetch_file<S: Storage>(
+    storage: &S,
+    name: &str,
+    stats: &mut ReadStats,
+) -> Result<Vec<Particle>, SpioError> {
+    let bytes = storage.read_file(name)?;
+    stats.files_opened += 1;
+    stats.bytes_read += bytes.len() as u64;
+    Ok(decode_data_file(&bytes)?.1)
+}
+
+/// One data file read as a growing LOD prefix whose completed checksum
+/// chunks have all been verified.
+///
+/// Each [`PrefixFile::extend_to`] is one contiguous ranged payload read,
+/// preceded on first touch by the header and (v2) checksum-footer reads —
+/// far cheaper than reading the file whole, which is the point of LOD
+/// prefix reads. A single running CRC covers the prefix: every fetched
+/// byte is fed in, and at each chunk boundary it is compared against the
+/// footer and reset. The final partial chunk is verified when the prefix
+/// reaches the end of the file; a prefix that stops mid-chunk leaves only
+/// that chunk's tail unverified — without re-reading anything, that is the
+/// strongest guarantee available.
+pub struct PrefixFile {
+    name: String,
+    total: u64,
+    loaded: u64,
+    /// Header (and footer) fetched and checked against `total`.
+    opened: bool,
+    /// Payload bytes per checksum chunk; 0 for files without checksums (v1).
+    chunk_bytes: u64,
+    crcs: Vec<u32>,
+    running: Crc32,
+    bytes_in_chunk: u64,
+    next_chunk: usize,
+}
+
+impl PrefixFile {
+    /// A file of `total` records (as the metadata declares) with nothing
+    /// read yet.
+    pub fn new(name: String, total: u64) -> Self {
+        PrefixFile {
+            name,
+            total,
+            loaded: 0,
+            opened: false,
+            chunk_bytes: 0,
+            crcs: Vec::new(),
+            running: Crc32::new(),
+            bytes_in_chunk: 0,
+            next_chunk: 0,
+        }
+    }
+
+    /// Extend the verified prefix to `target` records (clamped to the
+    /// file), appending the newly loaded particles to `out`. A target at or
+    /// below the current prefix reads nothing.
+    pub fn extend_to<S: Storage>(
+        &mut self,
+        storage: &S,
+        target: u64,
+        stats: &mut ReadStats,
+        out: &mut Vec<Particle>,
+    ) -> Result<(), SpioError> {
+        let target = target.min(self.total);
+        if target <= self.loaded {
+            return Ok(());
+        }
+        if !self.opened {
+            self.open(storage, stats)?;
+        }
+        let (start, end) = payload_range(self.loaded as usize, target as usize);
+        let bytes = storage.read_range(&self.name, start, end)?;
+        stats.files_opened += 1;
+        stats.bytes_read += bytes.len() as u64;
+        self.absorb(&bytes)?;
+        if target == self.total && self.bytes_in_chunk > 0 {
+            self.close_chunk()?;
+        }
+        out.extend(spio_types::particle::decode_particles(&bytes));
+        self.loaded = target;
+        Ok(())
+    }
+
+    /// First touch: fetch and validate the header, and for checksummed
+    /// (v2) files the tiny checksum footer.
+    fn open<S: Storage>(&mut self, storage: &S, stats: &mut ReadStats) -> Result<(), SpioError> {
+        let header_bytes = storage.read_range(&self.name, 0, HEADER_BYTES as u64)?;
+        stats.bytes_read += header_bytes.len() as u64;
+        let header = DataFileHeader::decode(&header_bytes)?;
+        if header.particle_count != self.total {
+            return Err(SpioError::Format(format!(
+                "'{}' header declares {} particles but metadata says {}",
+                self.name, header.particle_count, self.total
+            )));
+        }
+        if header.has_checksums() {
+            let (start, end) = footer_range(&header);
+            let footer = storage.read_range(&self.name, start, end)?;
+            stats.bytes_read += footer.len() as u64;
+            self.crcs = decode_checksum_footer(&header, &footer)?;
+            self.chunk_bytes = header.checksum_chunk as u64 * PARTICLE_BYTES as u64;
+        }
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Feed the next contiguous slice of payload, checking every chunk it
+    /// completes.
+    fn absorb(&mut self, mut bytes: &[u8]) -> Result<(), SpioError> {
+        if self.chunk_bytes == 0 {
+            return Ok(());
+        }
+        while !bytes.is_empty() {
+            let take = ((self.chunk_bytes - self.bytes_in_chunk) as usize).min(bytes.len());
+            self.running.update(&bytes[..take]);
+            self.bytes_in_chunk += take as u64;
+            bytes = &bytes[take..];
+            if self.bytes_in_chunk == self.chunk_bytes {
+                self.close_chunk()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Compare the running CRC against the footer's entry for the current
+    /// chunk and start the next one.
+    fn close_chunk(&mut self) -> Result<(), SpioError> {
+        if self.crcs.get(self.next_chunk) != Some(&self.running.finalize()) {
+            return Err(SpioError::Format(format!(
+                "payload checksum mismatch in chunk {} of '{}'",
+                self.next_chunk, self.name
+            )));
+        }
+        self.running.reset();
+        self.bytes_in_chunk = 0;
+        self.next_chunk += 1;
+        Ok(())
+    }
+}
+
+/// Which particles of a fetched file a read keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Predicate {
+    /// Particles inside the region (the paper's §4 box read).
+    Box(Aabb3),
+    /// Particles inside the region whose density lies in `[lo, hi]` (§3.5
+    /// attribute-range extension).
+    BoxDensity { region: Aabb3, lo: f64, hi: f64 },
+}
+
+impl Predicate {
+    /// Append the particles of one decoded file that pass, returning how
+    /// many were kept. When `file_bounds` is given and lies fully inside a
+    /// [`Predicate::Box`] region, the per-particle test is skipped.
+    ///
+    /// This is the single filter of every read path — the serial reader,
+    /// the metadata-less scan, and the `spio-serve` concurrent executor —
+    /// which is what makes the concurrent engine's results byte-identical
+    /// to the serial ones.
+    pub fn append_hits(
+        &self,
+        file_bounds: Option<&Aabb3>,
+        particles: &[Particle],
+        out: &mut Vec<Particle>,
+    ) -> usize {
+        let before = out.len();
+        match *self {
+            Predicate::Box(region) if file_bounds.is_some_and(|b| box_contains(&region, b)) => {
+                out.extend_from_slice(particles);
+            }
+            Predicate::Box(region) => out.extend(
+                particles
+                    .iter()
+                    .filter(|p| region.contains(p.position))
+                    .copied(),
+            ),
+            Predicate::BoxDensity { region, lo, hi } => out.extend(
+                particles
+                    .iter()
+                    .filter(|p| region.contains(p.position) && p.density >= lo && p.density <= hi)
+                    .copied(),
+            ),
+        }
+        out.len() - before
+    }
+}
+
+fn box_contains(outer: &Aabb3, inner: &Aabb3) -> bool {
+    (0..3).all(|a| outer.lo[a] <= inner.lo[a] && inner.hi[a] <= outer.hi[a])
 }
 
 /// A handle to a written dataset: the parsed spatial metadata.
@@ -77,22 +284,8 @@ impl DatasetReader {
         storage: &S,
         query: &Aabb3,
     ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
-        let t0 = Instant::now();
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        for idx in self.meta.files_intersecting(query) {
-            let entry = &self.meta.entries[idx];
-            let bytes = storage.read_file(&entry.file_name())?;
-            stats.files_opened += 1;
-            stats.bytes_read += bytes.len() as u64;
-            let (_, particles) = decode_data_file(&bytes)?;
-            let kept = append_box_hits(query, &entry.bounds, &particles, &mut out);
-            stats.particles_discarded += (particles.len() - kept) as u64;
-        }
-        stats.particles_read = out.len() as u64;
-        stats.time = t0.elapsed();
-        self.trace.phase(self.rank, phases::BOX, stats.time);
-        Ok((out, stats))
+        let files = self.meta.files_intersecting(query);
+        self.read_files(storage, files, Predicate::Box(*query), true, phases::BOX)
     }
 
     /// The spatially unaware baseline read (Fig. 7's "without spatial
@@ -105,26 +298,8 @@ impl DatasetReader {
         storage: &S,
         query: &Aabb3,
     ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
-        let t0 = Instant::now();
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        for entry in &self.meta.entries {
-            let bytes = storage.read_file(&entry.file_name())?;
-            stats.files_opened += 1;
-            stats.bytes_read += bytes.len() as u64;
-            let (_, particles) = decode_data_file(&bytes)?;
-            // Count discards from what was actually decoded, not from the
-            // metadata's particle count: a tampered or stale metadata entry
-            // must not underflow this subtraction.
-            let decoded = particles.len();
-            let before = out.len();
-            out.extend(particles.into_iter().filter(|p| query.contains(p.position)));
-            stats.particles_discarded += (decoded - (out.len() - before)) as u64;
-        }
-        stats.particles_read = out.len() as u64;
-        stats.time = t0.elapsed();
-        self.trace.phase(self.rank, phases::SCAN, stats.time);
-        Ok((out, stats))
+        let files = 0..self.meta.entries.len();
+        self.read_files(storage, files, Predicate::Box(*query), false, phases::SCAN)
     }
 
     /// Attribute range-query (§3.5 extension): return particles inside
@@ -139,29 +314,15 @@ impl DatasetReader {
         density_lo: f64,
         density_hi: f64,
     ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
-        let t0 = Instant::now();
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        for idx in self
+        let files = self
             .meta
-            .files_for_range_query(query, density_lo, density_hi)
-        {
-            let entry = &self.meta.entries[idx];
-            let bytes = storage.read_file(&entry.file_name())?;
-            stats.files_opened += 1;
-            stats.bytes_read += bytes.len() as u64;
-            let (_, particles) = decode_data_file(&bytes)?;
-            let decoded = particles.len();
-            let before = out.len();
-            out.extend(particles.into_iter().filter(|p| {
-                query.contains(p.position) && p.density >= density_lo && p.density <= density_hi
-            }));
-            stats.particles_discarded += (decoded - (out.len() - before)) as u64;
-        }
-        stats.particles_read = out.len() as u64;
-        stats.time = t0.elapsed();
-        self.trace.phase(self.rank, phases::RANGE, stats.time);
-        Ok((out, stats))
+            .files_for_range_query(query, density_lo, density_hi);
+        let pred = Predicate::BoxDensity {
+            region: *query,
+            lo: density_lo,
+            hi: density_hi,
+        };
+        self.read_files(storage, files, pred, true, phases::RANGE)
     }
 
     /// Read the entire dataset.
@@ -172,6 +333,39 @@ impl DatasetReader {
         self.read_box(storage, &self.meta.domain.clone())
     }
 
+    /// Fail-fast whole-file read: fetch each of `files` in order and keep
+    /// what `pred` passes; the first unreadable or corrupt file fails the
+    /// read. `use_bounds` lets files inside a box query skip the
+    /// per-particle test. Discards are counted from what was actually
+    /// decoded, so a tampered metadata count cannot underflow them.
+    fn read_files<S: Storage>(
+        &self,
+        storage: &S,
+        files: impl IntoIterator<Item = usize>,
+        pred: Predicate,
+        use_bounds: bool,
+        phase: &'static str,
+    ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
+        let t0 = Instant::now();
+        let mut stats = ReadStats::default();
+        let mut out = Vec::new();
+        for idx in files {
+            let entry = &self.meta.entries[idx];
+            let particles = fetch_file(storage, &entry.file_name(), &mut stats)?;
+            let kept = pred.append_hits(use_bounds.then_some(&entry.bounds), &particles, &mut out);
+            stats.particles_discarded += (particles.len() - kept) as u64;
+        }
+        self.finish(phase, t0, &mut stats, out.len());
+        Ok((out, stats))
+    }
+
+    /// Close out a read's stats and record its phase span.
+    fn finish(&self, phase: &'static str, t0: Instant, stats: &mut ReadStats, particles: usize) {
+        stats.particles_read = particles as u64;
+        stats.time = t0.elapsed();
+        self.trace.phase(self.rank, phase, stats.time);
+    }
+
     /// Box query with graceful degradation: like [`DatasetReader::read_box`]
     /// but one unreadable or corrupt file does not fail the whole query.
     /// Every intersecting file gets a [`FileOutcome`]; particles from the
@@ -179,23 +373,16 @@ impl DatasetReader {
     /// visualization client renders what arrived and reports the holes.
     pub fn read_box_partial<S: Storage>(&self, storage: &S, query: &Aabb3) -> PartialRead {
         let t0 = Instant::now();
+        let pred = Predicate::Box(*query);
         let mut stats = ReadStats::default();
         let mut out = Vec::new();
         let mut outcomes = Vec::new();
         for idx in self.meta.files_intersecting(query) {
             let entry = &self.meta.entries[idx];
             let name = entry.file_name();
-            let decoded = storage
-                .read_file(&name)
-                .and_then(|bytes| {
-                    stats.files_opened += 1;
-                    stats.bytes_read += bytes.len() as u64;
-                    decode_data_file(&bytes)
-                })
-                .map(|(_, particles)| particles);
-            match decoded {
+            match fetch_file(storage, &name, &mut stats) {
                 Ok(particles) => {
-                    let kept = append_box_hits(query, &entry.bounds, &particles, &mut out);
+                    let kept = pred.append_hits(Some(&entry.bounds), &particles, &mut out);
                     stats.particles_discarded += (particles.len() - kept) as u64;
                     outcomes.push(FileOutcome {
                         file: name,
@@ -215,14 +402,36 @@ impl DatasetReader {
                 }
             }
         }
-        stats.particles_read = out.len() as u64;
-        stats.time = t0.elapsed();
-        self.trace.phase(self.rank, phases::PARTIAL, stats.time);
+        self.finish(phases::PARTIAL, t0, &mut stats, out.len());
         PartialRead {
             particles: out,
             outcomes,
             stats,
         }
+    }
+
+    /// A LOD prefix of about `target` particles of the whole dataset: the
+    /// proportional prefix ([`LodParams::file_prefix`]) of every file, each
+    /// read as one verified ranged read. The shuffled layout makes each
+    /// file prefix a uniform subsample of its partition, so the union is a
+    /// uniform subsample of the domain at any sampling rate, not just at
+    /// level boundaries.
+    pub fn read_lod_prefix<S: Storage>(
+        &self,
+        storage: &S,
+        target: u64,
+    ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
+        let t0 = Instant::now();
+        let mut stats = ReadStats::default();
+        let mut out = Vec::new();
+        let total = self.meta.total_particles;
+        for entry in &self.meta.entries {
+            let take = LodParams::file_prefix(entry.particle_count, total, target);
+            PrefixFile::new(entry.file_name(), entry.particle_count)
+                .extend_to(storage, take, &mut stats, &mut out)?;
+        }
+        self.finish(phases::LOD, t0, &mut stats, out.len());
+        Ok((out, stats))
     }
 }
 
@@ -265,39 +474,6 @@ impl PartialRead {
     /// The outcomes that failed.
     pub fn failures(&self) -> Vec<&FileOutcome> {
         self.outcomes.iter().filter(|o| !o.is_ok()).collect()
-    }
-}
-
-fn query_contains_box(query: &Aabb3, b: &Aabb3) -> bool {
-    (0..3).all(|a| query.lo[a] <= b.lo[a] && b.hi[a] <= query.hi[a])
-}
-
-/// Append the particles of one decoded file that fall inside `query`,
-/// returning how many were kept. Files whose bounds lie fully inside the
-/// query skip the per-particle containment test.
-///
-/// This is the single filtering step shared by [`DatasetReader::read_box`],
-/// [`DatasetReader::read_box_partial`], and the `spio-serve` concurrent
-/// executor — one implementation is what makes the concurrent engine's
-/// results byte-identical to the serial read path.
-pub fn append_box_hits(
-    query: &Aabb3,
-    file_bounds: &Aabb3,
-    particles: &[Particle],
-    out: &mut Vec<Particle>,
-) -> usize {
-    if query_contains_box(query, file_bounds) {
-        out.extend_from_slice(particles);
-        particles.len()
-    } else {
-        let before = out.len();
-        out.extend(
-            particles
-                .iter()
-                .filter(|p| query.contains(p.position))
-                .copied(),
-        );
-        out.len() - before
     }
 }
 
@@ -365,7 +541,7 @@ impl RestartReader {
 /// after reading through level `l` the union across all readers is a
 /// uniform subsample of `prefix_len(n, l)` particles.
 pub struct LodCursor {
-    files: Vec<LodFile>,
+    files: Vec<PrefixFile>,
     /// Total particles in the dataset (not just this cursor's files).
     dataset_total: u64,
     lod: LodParams,
@@ -376,94 +552,6 @@ pub struct LodCursor {
     rank: Rank,
 }
 
-struct LodFile {
-    name: String,
-    total: u64,
-    read_so_far: u64,
-    verify: FileVerify,
-}
-
-/// Per-file integrity state for ranged LOD reads.
-enum FileVerify {
-    /// Header not fetched yet — resolved on this file's first range read.
-    Unopened,
-    /// v1 file (or checksums disabled): nothing to verify.
-    Plain,
-    /// v2 checksummed file: the footer's chunk CRCs plus a running CRC over
-    /// the payload prefix streamed so far.
-    Checksummed(ChunkVerifier),
-}
-
-/// Streams payload bytes and verifies each completed checksum chunk.
-///
-/// LOD levels extend a file's prefix by contiguous ranged reads, so a
-/// single running CRC suffices: feed every fetched byte, and at each chunk
-/// boundary compare against the footer and reset. The final partial chunk
-/// is verified when the prefix reaches the end of the file; a prefix that
-/// stops mid-chunk leaves only that chunk's tail unverified — without
-/// re-reading anything, that is the strongest guarantee available.
-struct ChunkVerifier {
-    chunk_bytes: u64,
-    crcs: Vec<u32>,
-    running: Crc32,
-    bytes_in_chunk: u64,
-    next_chunk: usize,
-}
-
-impl ChunkVerifier {
-    fn new(header: &DataFileHeader, crcs: Vec<u32>) -> Self {
-        ChunkVerifier {
-            chunk_bytes: header.checksum_chunk as u64 * PARTICLE_BYTES as u64,
-            crcs,
-            running: Crc32::new(),
-            bytes_in_chunk: 0,
-            next_chunk: 0,
-        }
-    }
-
-    fn mismatch(&self, name: &str) -> SpioError {
-        SpioError::Format(format!(
-            "payload checksum mismatch in chunk {} of '{name}'",
-            self.next_chunk
-        ))
-    }
-
-    /// Feed the next contiguous slice of payload, checking every chunk it
-    /// completes.
-    fn absorb(&mut self, name: &str, mut bytes: &[u8]) -> Result<(), SpioError> {
-        while !bytes.is_empty() {
-            let room = (self.chunk_bytes - self.bytes_in_chunk) as usize;
-            let take = room.min(bytes.len());
-            self.running.update(&bytes[..take]);
-            self.bytes_in_chunk += take as u64;
-            bytes = &bytes[take..];
-            if self.bytes_in_chunk == self.chunk_bytes {
-                if self.crcs.get(self.next_chunk) != Some(&self.running.finalize()) {
-                    return Err(self.mismatch(name));
-                }
-                self.running.reset();
-                self.bytes_in_chunk = 0;
-                self.next_chunk += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// The prefix now covers the whole file: verify the trailing partial
-    /// chunk, if any.
-    fn finish(&mut self, name: &str) -> Result<(), SpioError> {
-        if self.bytes_in_chunk > 0 {
-            if self.crcs.get(self.next_chunk) != Some(&self.running.finalize()) {
-                return Err(self.mismatch(name));
-            }
-            self.running.reset();
-            self.bytes_in_chunk = 0;
-            self.next_chunk += 1;
-        }
-        Ok(())
-    }
-}
-
 impl LodCursor {
     /// Build a cursor over the metadata entries at `file_indices`
     /// (typically this reader's share of the files).
@@ -472,12 +560,7 @@ impl LodCursor {
             .iter()
             .map(|&i| {
                 let e = &meta.entries[i];
-                LodFile {
-                    name: e.file_name(),
-                    total: e.particle_count,
-                    read_so_far: 0,
-                    verify: FileVerify::Unopened,
-                }
+                PrefixFile::new(e.file_name(), e.particle_count)
             })
             .collect();
         LodCursor {
@@ -556,7 +639,7 @@ impl LodCursor {
 
     /// Particles accumulated so far across this cursor's files.
     pub fn particles_loaded(&self) -> u64 {
-        self.files.iter().map(|f| f.read_so_far).sum()
+        self.files.iter().map(|f| f.loaded).sum()
     }
 
     /// Read the next level: extend every file prefix to its share of the
@@ -578,63 +661,13 @@ impl LodCursor {
             .prefix_len(self.nreaders, self.next_level, self.dataset_total);
         for f in &mut self.files {
             let target = LodParams::file_prefix(f.total, self.dataset_total, global_prefix);
-            if target > f.read_so_far {
-                // First touch: fetch the header (and, for v2 files, the
-                // checksum footer) so subsequent ranged payload reads can
-                // be verified incrementally.
-                if matches!(f.verify, FileVerify::Unopened) {
-                    f.verify = Self::open_file(storage, f, &mut stats)?;
-                }
-                let (start, end) = payload_range(f.read_so_far as usize, target as usize);
-                let bytes = storage.read_range(&f.name, start, end)?;
-                stats.files_opened += 1;
-                stats.bytes_read += bytes.len() as u64;
-                if let FileVerify::Checksummed(v) = &mut f.verify {
-                    v.absorb(&f.name, &bytes)?;
-                    if target == f.total {
-                        v.finish(&f.name)?;
-                    }
-                }
-                out.extend(spio_types::particle::decode_particles(&bytes));
-                f.read_so_far = target;
-            }
+            f.extend_to(storage, target, &mut stats, &mut out)?;
         }
         self.next_level += 1;
         stats.particles_read = out.len() as u64;
         stats.time = t0.elapsed();
         self.trace.phase(self.rank, phases::LOD, stats.time);
         Ok((out, stats))
-    }
-
-    /// First touch of a file: fetch and validate its header, and for
-    /// checksummed (v2) files also the tiny checksum footer — two small
-    /// ranged reads, far cheaper than reading the file whole, which is the
-    /// point of LOD prefix reads.
-    fn open_file<S: Storage>(
-        storage: &S,
-        f: &LodFile,
-        stats: &mut ReadStats,
-    ) -> Result<FileVerify, SpioError> {
-        let header_bytes = storage.read_range(&f.name, 0, HEADER_BYTES as u64)?;
-        stats.bytes_read += header_bytes.len() as u64;
-        let header = DataFileHeader::decode(&header_bytes)?;
-        if header.particle_count != f.total {
-            return Err(SpioError::Format(format!(
-                "'{}' header declares {} particles but metadata says {}",
-                f.name, header.particle_count, f.total
-            )));
-        }
-        if !header.has_checksums() {
-            return Ok(FileVerify::Plain);
-        }
-        let (start, end) = footer_range(&header);
-        let footer = storage.read_range(&f.name, start, end)?;
-        stats.bytes_read += footer.len() as u64;
-        let crcs = footer
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(FileVerify::Checksummed(ChunkVerifier::new(&header, crcs)))
     }
 
     /// Read levels `0 ..= level` (from the cursor's current position),

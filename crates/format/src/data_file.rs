@@ -216,26 +216,24 @@ pub fn encode_data_file(header: &DataFileHeader, particles: &[Particle]) -> Vec<
     out
 }
 
-/// Parse the checksum footer of a v2 file (empty for v1 / empty files).
+/// Parse a checksum footer — the [`footer_range`] slice of a data file —
+/// into one CRC-32 per payload chunk (empty for v1 / empty files). The one
+/// footer parser: whole-file decodes slice it out of the buffer, ranged LOD
+/// readers fetch exactly that range.
 pub fn decode_checksum_footer(
     header: &DataFileHeader,
-    bytes: &[u8],
+    footer: &[u8],
 ) -> Result<Vec<u32>, SpioError> {
-    let n = header.num_chunks() as usize;
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let payload_end = HEADER_BYTES + header.particle_count as usize * PARTICLE_BYTES;
-    let footer_end = payload_end + 4 * n;
-    if bytes.len() < footer_end {
+    if header.num_chunks().checked_mul(4) != Some(footer.len() as u64) {
         return Err(SpioError::Format(format!(
-            "checksum footer truncated: file is {} bytes, footer ends at {footer_end}",
-            bytes.len()
+            "checksum footer truncated: {} bytes for {} chunks",
+            footer.len(),
+            header.num_chunks()
         )));
     }
-    Ok(bytes[payload_end..footer_end]
+    Ok(footer
         .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect())
 }
 
@@ -252,7 +250,9 @@ fn verify_checksums_with_header(header: &DataFileHeader, bytes: &[u8]) -> Result
     if !header.has_checksums() {
         return Ok(0);
     }
-    let stored = decode_checksum_footer(header, bytes)?;
+    let (start, end) = footer_range(header);
+    let footer = bytes.get(start as usize..end as usize).unwrap_or_default();
+    let stored = decode_checksum_footer(header, footer)?;
     let payload_end = HEADER_BYTES + header.particle_count as usize * PARTICLE_BYTES;
     let computed = chunk_crcs(header, &bytes[HEADER_BYTES..payload_end]);
     debug_assert_eq!(stored.len(), computed.len());
@@ -290,38 +290,6 @@ pub fn decode_data_file(bytes: &[u8]) -> Result<(DataFileHeader, Vec<Particle>),
     verify_checksums_with_header(&header, bytes)?;
     let payload_end = HEADER_BYTES + header.particle_count as usize * PARTICLE_BYTES;
     let particles = bytes[HEADER_BYTES..payload_end]
-        .chunks_exact(PARTICLE_BYTES)
-        .map(Particle::decode)
-        .collect();
-    Ok((header, particles))
-}
-
-/// Decode only the first `prefix` particles of a file — the core LOD-read
-/// operation: a prefix of the shuffled payload is a uniform subsample.
-///
-/// `bytes` may be the whole file or any prefix long enough to hold the
-/// requested records (readers fetch exactly `payload_range(prefix)` bytes).
-/// Such ranged prefixes carry no checksum footer, so this function performs
-/// no chunk verification; `spio_core::LodCursor` fetches the footer
-/// separately and verifies chunk boundaries as its prefix grows.
-pub fn decode_prefix(
-    bytes: &[u8],
-    prefix: usize,
-) -> Result<(DataFileHeader, Vec<Particle>), SpioError> {
-    let header = DataFileHeader::decode(bytes)?;
-    let want = (prefix as u64).min(header.particle_count) as usize;
-    let need = (want as u64)
-        .checked_mul(PARTICLE_BYTES as u64)
-        .and_then(|p| p.checked_add(HEADER_BYTES as u64))
-        .ok_or_else(|| SpioError::Format("prefix length overflows".into()))?;
-    if (bytes.len() as u64) < need {
-        return Err(SpioError::Format(format!(
-            "prefix read needs {need} bytes, have {}",
-            bytes.len()
-        )));
-    }
-    let need = need as usize;
-    let particles = bytes[HEADER_BYTES..need]
         .chunks_exact(PARTICLE_BYTES)
         .map(Particle::decode)
         .collect();
@@ -501,22 +469,6 @@ mod tests {
         let mut bytes = encode_data_file(&h, &ps);
         bytes.truncate(bytes.len() - 1);
         assert!(decode_data_file(&bytes).is_err());
-    }
-
-    #[test]
-    fn prefix_reads_partial_payload() {
-        let ps: Vec<Particle> = (0..10).map(|i| Particle::synthetic([0.0; 3], i)).collect();
-        let h = DataFileHeader::new(10, Aabb3::new([0.0; 3], [1.0; 3]), 1);
-        let bytes = encode_data_file(&h, &ps);
-        let (_, got) = decode_prefix(&bytes, 4).unwrap();
-        assert_eq!(got, ps[..4]);
-        // Prefix beyond the file clamps to the full payload.
-        let (_, got) = decode_prefix(&bytes, 100).unwrap();
-        assert_eq!(got, ps);
-        // A prefix read works from a truncated buffer of exactly the right size.
-        let (_, end) = payload_range(0, 4);
-        let (_, got) = decode_prefix(&bytes[..end as usize], 4).unwrap();
-        assert_eq!(got, ps[..4]);
     }
 
     #[test]

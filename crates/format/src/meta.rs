@@ -286,14 +286,18 @@ impl SpatialMetadata {
             .iter()
             .enumerate()
             .filter(|(i, e)| {
-                e.bounds.intersects(query)
-                    && self
-                        .attr_ranges
-                        .as_ref()
-                        .is_none_or(|r| r[*i].density_overlaps(density_lo, density_hi))
+                e.bounds.intersects(query) && self.may_hold_density(*i, density_lo, density_hi)
             })
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// Could entry `i` hold a particle with density in `[lo, hi]`? Always
+    /// true for datasets written without §3.5 attribute ranges.
+    pub fn may_hold_density(&self, i: usize, lo: f64, hi: f64) -> bool {
+        self.attr_ranges
+            .as_ref()
+            .is_none_or(|r| r[i].density_overlaps(lo, hi))
     }
 
     /// Sanity-check the §3.5 guarantee that file boxes are unique and

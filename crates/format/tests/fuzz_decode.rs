@@ -2,7 +2,7 @@
 //! corrupted bytes. A reader crashing on a truncated checkpoint would be a
 //! production incident; these tests fuzz the attack surface.
 
-use spio_format::data_file::{decode_data_file, decode_prefix, encode_data_file, DataFileHeader};
+use spio_format::data_file::{decode_data_file, encode_data_file, DataFileHeader};
 use spio_format::{SpatialMetadata, DATA_MAGIC, META_MAGIC};
 use spio_types::{Aabb3, Particle};
 use spio_util::check::{cases, Gen};
@@ -12,7 +12,6 @@ fn data_file_decode_never_panics() {
     cases(512, |g: &mut Gen| {
         let bytes = g.bytes(0, 2048);
         let _ = decode_data_file(&bytes);
-        let _ = decode_prefix(&bytes, 10);
         let _ = DataFileHeader::decode(&bytes);
     });
 }

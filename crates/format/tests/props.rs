@@ -1,6 +1,6 @@
 //! Property tests for the on-disk format and LOD arithmetic.
 
-use spio_format::data_file::{decode_data_file, decode_prefix, encode_data_file, DataFileHeader};
+use spio_format::data_file::{decode_data_file, encode_data_file, DataFileHeader};
 use spio_format::{FileEntry, LodParams, SpatialMetadata};
 use spio_types::{Aabb3, GridDims, Particle, PartitionFactor};
 use spio_util::check::{cases, Gen};
@@ -30,19 +30,6 @@ fn data_file_roundtrip() {
         let (h2, ps2) = decode_data_file(&bytes).unwrap();
         assert_eq!(h2, header);
         assert_eq!(ps2, ps);
-    });
-}
-
-#[test]
-fn any_prefix_decodes() {
-    cases(128, |g: &mut Gen| {
-        let ps = arb_particles(g, 64);
-        let take = g.usize_in(0, 79);
-        let header = DataFileHeader::new(ps.len() as u64, Aabb3::new([0.0; 3], [1.0; 3]), 7);
-        let bytes = encode_data_file(&header, &ps);
-        let (_, got) = decode_prefix(&bytes, take).unwrap();
-        let want = take.min(ps.len());
-        assert_eq!(got.as_slice(), &ps[..want]);
     });
 }
 

@@ -52,6 +52,9 @@ struct Shard {
     lru: BTreeMap<u64, BlockKey>,
     bytes: u64,
     clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl Shard {
@@ -75,9 +78,7 @@ pub struct BlockCache {
     bytes_gauge: Gauge,
 }
 
-/// Point-in-time cache statistics. Hit/miss/eviction counts come from the
-/// registry counters (zero when the engine runs untraced); bytes and block
-/// counts are authoritative from the shards.
+/// Point-in-time cache statistics, summed over the shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -124,9 +125,11 @@ impl BlockCache {
         let mut shard = lock_unpoisoned(self.shard_of(key));
         if shard.map.contains_key(key) {
             shard.touch(*key);
+            shard.hits += 1;
             self.hits.inc();
             Some(shard.map[key].block.clone())
         } else {
+            shard.misses += 1;
             self.misses.inc();
             None
         }
@@ -154,6 +157,7 @@ impl BlockCache {
             let evicted = shard.map.remove(&victim).expect("lru entry has a slot");
             shard.bytes -= evicted.cost;
             delta -= evicted.cost as i64;
+            shard.evictions += 1;
             self.evictions.inc();
         }
         shard.clock += 1;
@@ -170,21 +174,18 @@ impl BlockCache {
         self.shards.iter().map(|s| lock_unpoisoned(s).bytes).sum()
     }
 
-    /// Aggregate statistics (see [`CacheStats`] for provenance).
+    /// Aggregate statistics across the shards.
     pub fn stats(&self) -> CacheStats {
-        let (mut bytes, mut blocks) = (0u64, 0u64);
+        let mut total = CacheStats::default();
         for s in &self.shards {
             let s = lock_unpoisoned(s);
-            bytes += s.bytes;
-            blocks += s.map.len() as u64;
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.evictions += s.evictions;
+            total.bytes += s.bytes;
+            total.blocks += s.map.len() as u64;
         }
-        CacheStats {
-            hits: self.hits.value(),
-            misses: self.misses.value(),
-            evictions: self.evictions.value(),
-            bytes,
-            blocks,
-        }
+        total
     }
 }
 

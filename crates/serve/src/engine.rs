@@ -7,19 +7,21 @@
 //! work fans across the [`WorkerPool`]. An [`AdmissionGate`] bounds the
 //! number of queries in flight.
 //!
+//! Each file job runs the serial reader's per-file kernel: a cache miss
+//! loads through [`spio_core::fetch_file`] (whole files) or one
+//! [`spio_core::PrefixFile`] extension (LOD prefixes), and every block is
+//! filtered by the same [`spio_core::Predicate`] the serial reader uses.
 //! Failure semantics mirror [`spio_core::DatasetReader::read_box_partial`]:
 //! a corrupt or missing file degrades that file only — it is reported in
 //! [`QueryResult::failures`], never cached, and never poisons the rest of
-//! the query. Results are assembled in ascending file order with the same
-//! shared filter ([`spio_core::append_box_hits`]) the serial reader uses,
-//! so a complete concurrent result is byte-identical to the serial one.
+//! the query. Results are assembled in ascending file order, so a complete
+//! concurrent result is byte-identical to the serial one.
 
 use crate::cache::{BlockCache, BlockKey, CacheStats};
 use crate::pool::{AdmissionGate, WorkerPool};
 use spio_core::reader::phases as read_phases;
-use spio_core::{append_box_hits, DatasetReader, LodCursor, Storage};
-use spio_format::data_file::decode_data_file;
-use spio_format::{SpatialIndex, SpatialMetadata};
+use spio_core::{fetch_file, DatasetReader, Predicate, PrefixFile, ReadStats, Storage};
+use spio_format::{LodParams, SpatialIndex, SpatialMetadata};
 use spio_trace::{Counter, Histogram, Trace};
 use spio_types::{Aabb3, Particle, SpioError};
 use std::sync::mpsc::channel;
@@ -82,6 +84,14 @@ impl Query {
     pub fn region(&self) -> &Aabb3 {
         match self {
             Query::Box(r) | Query::Lod { region: r, .. } | Query::Density { region: r, .. } => r,
+        }
+    }
+
+    /// The particle filter this query applies to every file it touches.
+    fn predicate(&self) -> Predicate {
+        match *self {
+            Query::Box(region) | Query::Lod { region, .. } => Predicate::Box(region),
+            Query::Density { region, lo, hi } => Predicate::BoxDensity { region, lo, hi },
         }
     }
 
@@ -157,9 +167,7 @@ impl<S: Storage + 'static> EngineShared<S> {
     fn select_files(&self, query: &Query) -> Vec<usize> {
         let mut files = self.index.query(query.region());
         if let Query::Density { lo, hi, .. } = query {
-            if let Some(ranges) = &self.meta.attr_ranges {
-                files.retain(|&i| ranges[i].density_overlaps(*lo, *hi));
-            }
+            files.retain(|&i| self.meta.may_hold_density(i, *lo, *hi));
         }
         files
     }
@@ -181,45 +189,39 @@ impl<S: Storage + 'static> EngineShared<S> {
         if let Some(block) = self.cache.get(&key) {
             return Ok((block, 0, true));
         }
-        let idx = key.file as usize;
-        let (particles, bytes_read) = match key.lod_level {
-            None => {
-                let bytes = self
-                    .storage
-                    .read_file(&self.meta.entries[idx].file_name())?;
-                let n = bytes.len() as u64;
-                let (_, particles) = decode_data_file(&bytes)?;
-                (particles, n)
-            }
+        let entry = &self.meta.entries[key.file as usize];
+        let mut stats = ReadStats::default();
+        let particles = match key.lod_level {
+            None => fetch_file(&self.storage, &entry.file_name(), &mut stats)?,
             Some(level) => {
-                // The LOD cursor's ranged reads verify checksum chunks
-                // incrementally, so prefix blocks get the same integrity
-                // guarantee as full files.
-                let mut cursor = LodCursor::new(&self.meta, &[idx], 1);
-                let (particles, stats) = cursor.read_through_level(&self.storage, level)?;
-                (particles, stats.bytes_read)
+                // The single-reader prefix through `level`, fetched as one
+                // verified ranged read — the same bytes a one-file
+                // `LodCursor` reads level by level.
+                let total = self.meta.total_particles;
+                let global = self.meta.lod.prefix_len(1, level, total);
+                let target = LodParams::file_prefix(entry.particle_count, total, global);
+                let mut particles = Vec::new();
+                PrefixFile::new(entry.file_name(), entry.particle_count).extend_to(
+                    &self.storage,
+                    target,
+                    &mut stats,
+                    &mut particles,
+                )?;
+                particles
             }
         };
         let block = Arc::new(particles);
         self.cache.insert(key, Arc::clone(&block));
-        Ok((block, bytes_read, false))
+        Ok((block, stats.bytes_read, false))
     }
 
     /// Decode (through the cache) and filter one file for `query`.
     fn run_file(&self, idx: usize, query: &Query) -> Result<FileSlot, SpioError> {
         let (block, bytes_read, cache_hit) = self.fetch_block(self.block_key(idx, query))?;
         let mut kept = Vec::new();
-        match query {
-            Query::Box(region) | Query::Lod { region, .. } => {
-                append_box_hits(region, &self.meta.entries[idx].bounds, &block, &mut kept);
-            }
-            Query::Density { region, lo, hi } => kept.extend(
-                block
-                    .iter()
-                    .filter(|p| region.contains(p.position) && p.density >= *lo && p.density <= *hi)
-                    .copied(),
-            ),
-        }
+        query
+            .predicate()
+            .append_hits(Some(&self.meta.entries[idx].bounds), &block, &mut kept);
         Ok(FileSlot {
             kept,
             bytes_read,
@@ -377,7 +379,7 @@ impl<S: Storage + 'static> QueryEngine<S> {
 mod tests {
     use super::*;
     use spio_comm::{run_threaded_collect, Comm};
-    use spio_core::{MemStorage, SpatialWriter, WriterConfig};
+    use spio_core::{LodCursor, MemStorage, SpatialWriter, TracedStorage, WriterConfig};
     use spio_types::particle::encode_particles;
     use spio_types::{DomainDecomposition, GridDims, PartitionFactor};
 
@@ -437,9 +439,20 @@ mod tests {
             assert_eq!(warm.stats.bytes_read, 0);
             assert_eq!(warm.stats.cache_hits as usize, warm.stats.files_selected);
         }
-        // Untraced engines have inert registry counters; block counts are
-        // authoritative from the shards.
         assert!(engine.cache_stats().blocks > 0);
+    }
+
+    #[test]
+    fn untraced_engine_counts_cache_hits() {
+        let storage = build_dataset(20);
+        let engine = QueryEngine::open(storage, ServeConfig::default()).unwrap();
+        let q = Query::Box(Aabb3::new([0.0; 3], [0.6, 0.6, 1.0]));
+        let cold = engine.execute(&q);
+        let warm = engine.execute(&q);
+        let stats = engine.cache_stats();
+        assert!(warm.stats.files_selected > 0);
+        assert_eq!(stats.hits, warm.stats.files_selected as u64);
+        assert_eq!(stats.misses, cold.stats.files_selected as u64);
     }
 
     #[test]
@@ -463,20 +476,27 @@ mod tests {
     fn lod_results_match_serial_cursor() {
         let storage = build_dataset(64);
         let serial = DatasetReader::open(&storage).unwrap();
-        let engine = QueryEngine::open(storage.clone(), ServeConfig::default()).unwrap();
+        let trace = Trace::collecting();
+        let traced = TracedStorage::new(storage.clone(), trace.clone(), 0);
+        let engine = QueryEngine::open(traced, ServeConfig::default()).unwrap();
+        let range_ops = || trace.metrics().counter_value("storage.read_range.ops");
         let region = Aabb3::new([0.05, 0.05, 0.0], [0.7, 0.7, 1.0]);
         let deepest = serial.lod_box_cursor(&region, 1).num_levels() - 1;
+        assert!(deepest >= 2, "levels 1 and 99 must be distinct blocks");
         for level in [0u32, 1, 99] {
             let capped = level.min(deepest);
             // Oracle: per intersecting file (ascending), the prefix through
             // `capped`, filtered to the region — the engine's exact
             // assembly order.
             let mut expect = Vec::new();
+            let mut expect_bytes = 0;
             for idx in serial.meta.files_intersecting(&region) {
                 let mut cursor = LodCursor::new(&serial.meta, &[idx], 1);
-                let (prefix, _) = cursor.read_through_level(&storage, capped).unwrap();
+                let (prefix, stats) = cursor.read_through_level(&storage, capped).unwrap();
                 expect.extend(prefix.into_iter().filter(|p| region.contains(p.position)));
+                expect_bytes += stats.bytes_read;
             }
+            let ops_before = range_ops();
             let got = engine.execute(&Query::Lod { region, level });
             assert!(got.is_complete());
             assert_eq!(
@@ -484,6 +504,15 @@ mod tests {
                 encode_particles(&expect),
                 "level {level}"
             );
+            // Every level here is a cold block: each file costs its header,
+            // its checksum footer and one payload read, whatever the depth.
+            assert_eq!(got.stats.cache_hits, 0, "level {level}");
+            assert_eq!(
+                range_ops() - ops_before,
+                3 * got.stats.files_selected as u64,
+                "level {level}"
+            );
+            assert_eq!(got.stats.bytes_read, expect_bytes, "level {level}");
         }
         // A past-the-end level clamps onto the deepest block, so querying
         // the deepest level explicitly is fully warm.
