@@ -57,13 +57,17 @@ echo "ci: observability pipeline OK"
 echo "ci: read-serving pipeline OK"
 
 # Verification gates (see docs/VERIFICATION.md):
-# 1. `spio lint` — source-tree rule scan against the committed lint.ratchet
-#    baseline; counts may only decrease (exit 1 on any increase).
+# 1. The clippy panic gate — no `unwrap`/`expect` in library or binary
+#    code. `--lib --bins` never compiles `#[cfg(test)]` modules, `tests/`,
+#    `benches/` or `examples/`, so tests may unwrap freely. A site that
+#    must keep a panic carries `#[expect(clippy::..., reason = "...")]`;
+#    a stale one fails the `--all-targets -D warnings` run above. That run
+#    also enforces the root clippy.toml's `disallowed-methods`.
 # 2. The schedule-explorer suite — every collective schedule-invariant
 #    across seeded interleavings, every known-bad comm fixture diagnosed.
 # 3. `spio verify-comm` — the same checks through the CLI surface, wider
 #    seed sweep.
-"$SPIO" lint
+cargo clippy --workspace --lib --bins -- -D clippy::unwrap_used -D clippy::expect_used
 cargo test -q -p spio-verify --test schedule_explorer
 "$SPIO" verify-comm --procs 4 --seeds 16 > /dev/null
 echo "ci: verification gates OK"

@@ -8,6 +8,7 @@
 
 use spio_comm::Comm;
 use spio_core::{ReadStats, Storage, WriteStats};
+use spio_types::le::u64_at;
 use spio_types::particle::{decode_particles, encode_particles};
 use spio_types::{Aabb3, Particle, SpioError};
 use std::time::Instant;
@@ -58,13 +59,13 @@ impl FppWriter {
         if bytes.len() < 16 || bytes[..8] != FPP_MAGIC {
             return Err(SpioError::Format("bad fpp file".into()));
         }
-        let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        let count = u64_at(&bytes, 8)?;
         let payload = &bytes[16..];
         let expected = count.checked_mul(spio_types::PARTICLE_BYTES as u64);
         if expected != Some(payload.len() as u64) {
             return Err(SpioError::Format("fpp payload length mismatch".into()));
         }
-        Ok(decode_particles(payload))
+        decode_particles(payload)
     }
 
     /// Box query against an FPP dataset written by `nwriters` ranks: with

@@ -10,6 +10,7 @@
 
 use spio_comm::{Comm, Tag};
 use spio_core::{ReadStats, Storage, WriteStats};
+use spio_types::le::u64_at;
 use spio_types::particle::{decode_particles, encode_particles};
 use spio_types::{Aabb3, Particle, SpioError, PARTICLE_BYTES};
 use std::time::Instant;
@@ -140,12 +141,12 @@ impl SharedFileWriter {
         if bytes.len() < 16 || bytes[..8] != *b"SPIOSHR1" {
             return Err(SpioError::Format("bad shared file".into()));
         }
-        let total = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        let total = u64_at(&bytes, 8)?;
         let payload = &bytes[16..];
         if total.checked_mul(PARTICLE_BYTES as u64) != Some(payload.len() as u64) {
             return Err(SpioError::Format("shared payload length mismatch".into()));
         }
-        Ok(decode_particles(payload))
+        decode_particles(payload)
     }
 
     /// Box query: the shared file has no spatial index, so the whole file

@@ -9,6 +9,7 @@
 
 use spio_comm::{Comm, Tag};
 use spio_core::{Storage, WriteStats};
+use spio_types::le::{u64_at, u64_words};
 use spio_types::particle::{decode_particles, encode_particles};
 use spio_types::{Particle, SpioError, PARTICLE_BYTES};
 use std::time::Instant;
@@ -116,14 +117,12 @@ impl SubfileWriter {
         if bytes.len() < 24 || bytes[..8] != MAGIC {
             return Err(SpioError::Format("bad subfile manifest".into()));
         }
-        let f = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let n = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        if bytes.len() != 24 + 8 * n {
+        let f = u64_at(&bytes, 8)? as usize;
+        let n = u64_at(&bytes, 16)?;
+        let counts = u64_words(&bytes[24..])?;
+        if counts.len() as u64 != n {
             return Err(SpioError::Format("manifest length mismatch".into()));
         }
-        let counts = (0..n)
-            .map(|i| u64::from_le_bytes(bytes[24 + i * 8..32 + i * 8].try_into().unwrap()))
-            .collect();
         Ok((f, counts))
     }
 
@@ -144,12 +143,16 @@ impl SubfileWriter {
             )));
         }
         let bytes = storage.read_file(&subfile_name(group))?;
-        let expected: u64 =
-            counts.iter().skip(group * f).take(f).sum::<u64>() * PARTICLE_BYTES as u64;
-        if bytes.len() as u64 != expected {
+        let expected = counts
+            .iter()
+            .skip(group.saturating_mul(f))
+            .take(f)
+            .try_fold(0u64, |sum, &c| sum.checked_add(c))
+            .and_then(|n| n.checked_mul(PARTICLE_BYTES as u64));
+        if expected != Some(bytes.len() as u64) {
             return Err(SpioError::Format("subfile length mismatch".into()));
         }
-        Ok(decode_particles(&bytes))
+        decode_particles(&bytes)
     }
 }
 
@@ -215,5 +218,15 @@ mod tests {
         let (f, counts) = SubfileWriter::read_manifest(&storage).unwrap();
         assert_eq!(f, 2);
         assert_eq!(counts, vec![3; 8]);
+    }
+
+    #[test]
+    fn manifest_with_huge_count_is_an_error() {
+        let storage = MemStorage::new();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&2u64.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        storage.write_file(MANIFEST, &bytes).unwrap();
+        assert!(SubfileWriter::read_manifest(&storage).is_err());
     }
 }

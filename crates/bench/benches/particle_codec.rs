@@ -19,7 +19,7 @@ fn main() {
             black_box(encode_particles(&ps));
         });
         bench(&format!("particle_codec/decode/{n}"), || {
-            black_box(decode_particles(&bytes));
+            let _ = black_box(decode_particles(&bytes));
         });
     }
 }

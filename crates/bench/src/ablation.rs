@@ -13,7 +13,7 @@ use hpcsim::{simulate_spio_write, simulate_spio_write_node_contended, MachineMod
 use spio_core::adaptive::AdaptiveGrid;
 use spio_core::grid::AggregationGrid;
 use spio_core::plan::plan_write_on_grid;
-use spio_types::{Aabb3, DomainDecomposition, PartitionFactor};
+use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError};
 
 /// One row of the balanced-aggregation ablation.
 #[derive(Debug, Clone)]
@@ -34,7 +34,7 @@ pub fn balanced_aggregation(
     procs: usize,
     skews: &[f64],
     heavy_factor: u64,
-) -> Vec<BalanceRow> {
+) -> Result<Vec<BalanceRow>, SpioError> {
     let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), procs);
     let factor = PartitionFactor::new(2, 2, 2);
     let base = 32 * 1024u64;
@@ -51,17 +51,17 @@ pub fn balanced_aggregation(
                     }
                 })
                 .collect();
-            let bbox = AdaptiveGrid::build(&decomp, factor, &counts).unwrap();
-            let balanced = AdaptiveGrid::build_balanced(&decomp, factor, &counts).unwrap();
-            let bbox_plan = plan_write_on_grid(&bbox, &counts, true).unwrap();
-            let bal_plan = plan_write_on_grid(&balanced, &counts, true).unwrap();
-            BalanceRow {
+            let bbox = AdaptiveGrid::build(&decomp, factor, &counts)?;
+            let balanced = AdaptiveGrid::build_balanced(&decomp, factor, &counts)?;
+            let bbox_plan = plan_write_on_grid(&bbox, &counts, true)?;
+            let bal_plan = plan_write_on_grid(&balanced, &counts, true)?;
+            Ok(BalanceRow {
                 skew,
                 bbox_imbalance: AdaptiveGrid::imbalance(&bbox, &counts),
                 balanced_imbalance: AdaptiveGrid::imbalance(&balanced, &counts),
                 bbox_time: simulate_spio_write(&bbox_plan, machine).total(),
                 balanced_time: simulate_spio_write(&bal_plan, machine).total(),
-            }
+            })
         })
         .collect()
 }
@@ -86,23 +86,23 @@ pub fn aggregator_placement(
     machine: &MachineModel,
     procs: usize,
     per_core: u64,
-) -> Vec<PlacementRow> {
+) -> Result<Vec<PlacementRow>, SpioError> {
     let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), procs);
     let counts = vec![per_core; procs];
     crate::fig5::configs_for(machine)
         .into_iter()
         .filter(|f| f.group_size() > 1)
         .map(|factor| {
-            let uniform = AggregationGrid::aligned(&decomp, factor).unwrap();
+            let uniform = AggregationGrid::aligned(&decomp, factor)?;
             let mut local = uniform.clone();
             local.use_partition_local_aggregators();
-            let up = plan_write_on_grid(&uniform, &counts, false).unwrap();
-            let lp = plan_write_on_grid(&local, &counts, false).unwrap();
-            PlacementRow {
+            let up = plan_write_on_grid(&uniform, &counts, false)?;
+            let lp = plan_write_on_grid(&local, &counts, false)?;
+            Ok(PlacementRow {
                 factor,
                 uniform_agg: simulate_spio_write_node_contended(&up, machine).aggregation,
                 local_agg: simulate_spio_write_node_contended(&lp, machine).aggregation,
-            }
+            })
         })
         .collect()
 }
@@ -120,15 +120,15 @@ pub fn partition_factor_sensitivity(
     machine: &MachineModel,
     procs: usize,
     per_core: u64,
-) -> Vec<SensitivityRow> {
+) -> Result<Vec<SensitivityRow>, SpioError> {
     crate::fig5::configs_for(machine)
         .into_iter()
         .map(|factor| {
-            let p = crate::fig5::spio_point(machine, procs, per_core, factor);
-            SensitivityRow {
+            let p = crate::fig5::spio_point(machine, procs, per_core, factor)?;
+            Ok(SensitivityRow {
                 factor,
                 throughput_gbs: p.throughput_gbs(),
-            }
+            })
         })
         .collect()
 }
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn rebalancing_helps_more_as_skew_grows() {
-        let rows = balanced_aggregation(&theta(), 4096, &[0.5, 0.25, 0.125], 8);
+        let rows = balanced_aggregation(&theta(), 4096, &[0.5, 0.25, 0.125], 8).unwrap();
         for r in &rows {
             assert!(
                 r.balanced_imbalance <= r.bbox_imbalance + 1e-9,
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn rebalancing_never_slows_the_simulated_write_much() {
         for m in [mira(), theta()] {
-            let rows = balanced_aggregation(&m, 4096, &[0.25], 8);
+            let rows = balanced_aggregation(&m, 4096, &[0.25], 8).unwrap();
             let r = &rows[0];
             assert!(
                 r.balanced_time <= r.bbox_time * 1.1,
@@ -182,7 +182,7 @@ mod tests {
         // trade-off reverses — matching the paper's practice of treating
         // (1,1,1) as plain file-per-process (trivially local).
         for m in [mira(), theta()] {
-            let rows = aggregator_placement(&m, 4096, 32 * 1024);
+            let rows = aggregator_placement(&m, 4096, 32 * 1024).unwrap();
             for r in rows.iter().filter(|r| r.factor.group_size() >= 8) {
                 assert!(
                     r.uniform_agg < r.local_agg,
@@ -210,7 +210,7 @@ mod tests {
         // The best and worst factors differ by a large margin on both
         // machines — the reason the paper exposes the knob.
         for m in [mira(), theta()] {
-            let rows = partition_factor_sensitivity(&m, 65_536, 32 * 1024);
+            let rows = partition_factor_sensitivity(&m, 65_536, 32 * 1024).unwrap();
             let best = rows.iter().map(|r| r.throughput_gbs).fold(0.0f64, f64::max);
             let worst = rows
                 .iter()

@@ -3,13 +3,14 @@
 
 use spio_bench::ablation;
 use spio_bench::table::{print_table, secs};
+use spio_types::SpioError;
 
-fn main() {
+fn main() -> Result<(), SpioError> {
     println!("Ablation 1 — §7 rebalanced adaptive grid vs §6 bounding-box grid");
     println!("(4096 ranks, heavy x-band holds 8x the base load)\n");
     for machine in [hpcsim::mira(), hpcsim::theta()] {
         println!("{}:", machine.name);
-        let rows = ablation::balanced_aggregation(&machine, 4096, &[0.5, 0.25, 0.125], 8);
+        let rows = ablation::balanced_aggregation(&machine, 4096, &[0.5, 0.25, 0.125], 8)?;
         let header = vec![
             "heavy band".to_string(),
             "bbox imbalance".to_string(),
@@ -37,7 +38,7 @@ fn main() {
     println!("(4096 ranks, aggregation-phase seconds)\n");
     for machine in [hpcsim::mira(), hpcsim::theta()] {
         println!("{}:", machine.name);
-        let rows = spio_bench::ablation::aggregator_placement(&machine, 4096, 32 * 1024);
+        let rows = spio_bench::ablation::aggregator_placement(&machine, 4096, 32 * 1024)?;
         let header = vec![
             "factor".to_string(),
             "uniform rank-space".to_string(),
@@ -54,7 +55,7 @@ fn main() {
     println!("Ablation 3 — partition-factor sensitivity at 65,536 ranks, 32Ki/core\n");
     for machine in [hpcsim::mira(), hpcsim::theta()] {
         println!("{}:", machine.name);
-        let rows = ablation::partition_factor_sensitivity(&machine, 65_536, 32 * 1024);
+        let rows = ablation::partition_factor_sensitivity(&machine, 65_536, 32 * 1024)?;
         let header = vec!["factor".to_string(), "GB/s".to_string()];
         let table: Vec<Vec<String>> = rows
             .iter()
@@ -74,4 +75,5 @@ fn main() {
          simulated cost; and the partition factor is worth several-fold \
          throughput on both machines, justifying its exposure as a tuning knob."
     );
+    Ok(())
 }

@@ -2,11 +2,12 @@
 //! so machine constants can be tuned. Not part of the paper's figure set.
 
 use spio_bench::{fig11, fig5, fig7, fig8, SCALING_PROCS};
+use spio_types::SpioError;
 
-fn main() {
+fn main() -> Result<(), SpioError> {
     for machine in [hpcsim::mira(), hpcsim::theta()] {
         println!("== fig5 {} 32Ki ==", machine.name);
-        let pts = fig5::weak_scaling(&machine, &SCALING_PROCS, 32 * 1024);
+        let pts = fig5::weak_scaling(&machine, &SCALING_PROCS, 32 * 1024)?;
         let mut series: Vec<String> = pts.iter().map(|p| p.series.clone()).collect();
         series.dedup();
         let uniq: Vec<String> = {
@@ -35,7 +36,7 @@ fn main() {
             "== fig6 {} 32Ki breakdown at 32768 (agg frac | agg s | io s) ==",
             machine.name
         );
-        for b in spio_bench::fig6::time_breakdown(&machine, 32 * 1024) {
+        for b in spio_bench::fig6::time_breakdown(&machine, 32 * 1024)? {
             println!(
                 "{:>8}  {:>6.3}  {:>8.3}  {:>8.3}",
                 b.config.to_string(),
@@ -48,7 +49,7 @@ fn main() {
     }
 
     println!("== fig7 theta ==");
-    let pts = fig7::read_scaling(&hpcsim::theta(), &fig7::THETA_READERS);
+    let pts = fig7::read_scaling(&hpcsim::theta(), &fig7::THETA_READERS)?;
     println!(
         "{:>8} {:>14} {:>14} {:>14}",
         "readers", "meta", "no-meta", "fpp+meta"
@@ -62,7 +63,7 @@ fn main() {
         );
     }
     println!("== fig7 workstation ==");
-    let pts = fig7::read_scaling(&hpcsim::workstation(), &fig7::WORKSTATION_READERS);
+    let pts = fig7::read_scaling(&hpcsim::workstation(), &fig7::WORKSTATION_READERS)?;
     for &n in &fig7::WORKSTATION_READERS {
         println!(
             "{n:>8} {:>14.2} {:>14.2} {:>14.2}",
@@ -74,7 +75,7 @@ fn main() {
 
     for machine in [hpcsim::theta(), hpcsim::workstation()] {
         println!("== fig8 {} (level: time bytes/reader) ==", machine.name);
-        for p in fig8::lod_sweep(&machine) {
+        for p in fig8::lod_sweep(&machine)? {
             println!(
                 "{:>4} {:>10.3}s {:>12.1}MB",
                 p.level,
@@ -89,7 +90,7 @@ fn main() {
             "== fig11 {} (coverage: nonadaptive adaptive) ==",
             machine.name
         );
-        let pts = fig11::adaptive_sweep(&machine);
+        let pts = fig11::adaptive_sweep(&machine)?;
         for &cov in &fig11::COVERAGES {
             println!(
                 "{cov:>6}: {:>8.3} {:>8.3}",
@@ -98,4 +99,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

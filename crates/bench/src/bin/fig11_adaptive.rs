@@ -4,8 +4,9 @@
 
 use spio_bench::fig11;
 use spio_bench::table::{print_table, secs};
+use spio_types::SpioError;
 
-fn main() {
+fn main() -> Result<(), SpioError> {
     for machine in [hpcsim::mira(), hpcsim::theta()] {
         println!(
             "\nFig. 11 — {} — {} cores, factor 2x2x2, {}K particles per occupied core",
@@ -13,7 +14,7 @@ fn main() {
             fig11::PROCS,
             fig11::PER_RANK / 1024
         );
-        let points = fig11::adaptive_sweep(&machine);
+        let points = fig11::adaptive_sweep(&machine)?;
         let header = vec![
             "coverage".to_string(),
             "non-adaptive (s)".to_string(),
@@ -28,9 +29,7 @@ fn main() {
                     points
                         .iter()
                         .find(|p| (p.coverage - cov).abs() < 1e-9 && p.adaptive == ad)
-                        .unwrap()
-                        .files
-                        .to_string()
+                        .map_or("-".to_string(), |p| p.files.to_string())
                 };
                 vec![
                     format!("{:.1}%", cov * 100.0),
@@ -48,4 +47,5 @@ fn main() {
          non-adaptive scheme on both machines; on Mira the improvement grows \
          markedly as coverage shrinks, on Theta performance is nearly constant."
     );
+    Ok(())
 }

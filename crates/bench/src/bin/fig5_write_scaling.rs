@@ -8,8 +8,9 @@
 
 use spio_bench::table::print_table;
 use spio_bench::{fig5, PARTICLES_PER_CORE, SCALING_PROCS};
+use spio_types::SpioError;
 
-fn main() {
+fn main() -> Result<(), SpioError> {
     let quick = std::env::args().any(|a| a == "--quick");
     let procs: Vec<usize> = if quick {
         vec![512, 4096, 32_768, 262_144]
@@ -24,7 +25,7 @@ fn main() {
                 machine.name,
                 per_core / 1024 * 1024
             );
-            let points = fig5::weak_scaling(&machine, &procs, per_core);
+            let points = fig5::weak_scaling(&machine, &procs, per_core)?;
             let mut series: Vec<String> = Vec::new();
             for p in &points {
                 if !series.contains(&p.series) {
@@ -44,17 +45,17 @@ fn main() {
                 })
                 .collect();
             print_table(&header, &rows);
-            let (best_cfg, best) = fig5::best_spio_throughput(&points, *procs.last().unwrap());
-            println!(
-                "max spatially-aware throughput at {} procs: {:.1} GB/s with {}",
-                procs.last().unwrap(),
-                best,
-                best_cfg
-            );
+            let largest = procs.last().copied().unwrap_or_default();
+            if let Some((best_cfg, best)) = fig5::best_spio_throughput(&points, largest) {
+                println!(
+                    "max spatially-aware throughput at {largest} procs: {best:.1} GB/s with {best_cfg}"
+                );
+            }
         }
     }
     println!(
         "\nPaper reference (§5.2): ~98 GB/s max on Mira; 216 / 243 GB/s on Theta \
          (32 Ki / 64 Ki) at 262,144 processes; FPP 83 / 160 GB/s on Theta."
     );
+    Ok(())
 }

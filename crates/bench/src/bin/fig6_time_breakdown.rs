@@ -4,8 +4,9 @@
 
 use spio_bench::fig6;
 use spio_bench::table::{pct, print_table, secs};
+use spio_types::SpioError;
 
-fn main() {
+fn main() -> Result<(), SpioError> {
     for machine in [hpcsim::mira(), hpcsim::theta()] {
         for per_core in [32 * 1024u64, 64 * 1024] {
             println!(
@@ -21,7 +22,7 @@ fn main() {
                 "agg (s)".to_string(),
                 "io (s)".to_string(),
             ];
-            let rows: Vec<Vec<String>> = fig6::time_breakdown(&machine, per_core)
+            let rows: Vec<Vec<String>> = fig6::time_breakdown(&machine, per_core)?
                 .into_iter()
                 .map(|b| {
                     vec![
@@ -53,7 +54,7 @@ fn main() {
         "trace io (s)".to_string(),
         "drift".to_string(),
     ];
-    let real = fig6::time_breakdown_real(64, 20_000);
+    let real = fig6::time_breakdown_real(64, 20_000)?;
     let rows: Vec<Vec<String>> = real
         .iter()
         .map(|rb| {
@@ -88,4 +89,5 @@ fn main() {
          factor, stays small on Mira, and is much larger on Theta — favouring \
          smaller factors there."
     );
+    Ok(())
 }

@@ -5,8 +5,9 @@
 
 use spio_bench::fig7::{self, Case};
 use spio_bench::table::{print_table, secs};
+use spio_types::SpioError;
 
-fn main() {
+fn main() -> Result<(), SpioError> {
     let cases = [Case::AggWithMeta, Case::AggWithoutMeta, Case::FppWithMeta];
     for (machine, readers) in [
         (hpcsim::theta(), fig7::THETA_READERS.to_vec()),
@@ -17,7 +18,7 @@ fn main() {
             machine.name,
             (fig7::WRITER_PROCS as u64) * fig7::PARTICLES_PER_WRITER
         );
-        let points = fig7::read_scaling(&machine, &readers);
+        let points = fig7::read_scaling(&machine, &readers)?;
         let mut header = vec!["readers".to_string()];
         header.extend(cases.iter().map(|c| c.label().to_string()));
         let rows: Vec<Vec<String>> = readers
@@ -38,4 +39,5 @@ fn main() {
          non-scaling; the 64Ki-file FPP layout pays heavily on Theta but is \
          almost comparable on the SSD workstation."
     );
+    Ok(())
 }

@@ -4,8 +4,9 @@
 
 use spio_bench::fig8;
 use spio_bench::table::{print_table, secs};
+use spio_types::SpioError;
 
-fn main() {
+fn main() -> Result<(), SpioError> {
     for machine in [hpcsim::theta(), hpcsim::workstation()] {
         println!(
             "\nFig. 8 — {} — LOD read time with {} readers",
@@ -17,7 +18,7 @@ fn main() {
             "time (s)".to_string(),
             "MB/reader".to_string(),
         ];
-        let rows: Vec<Vec<String>> = fig8::lod_sweep(&machine)
+        let rows: Vec<Vec<String>> = fig8::lod_sweep(&machine)?
             .into_iter()
             .map(|p| {
                 vec![
@@ -35,4 +36,5 @@ fn main() {
          on the SSD workstation time grows with volume from early levels, and \
          low-LOD reads are fast enough for interactive use."
     );
+    Ok(())
 }

@@ -9,8 +9,9 @@
 
 use spio_bench::fig9;
 use spio_bench::table::{pct, print_table};
+use spio_types::SpioError;
 
-fn main() {
+fn main() -> Result<(), SpioError> {
     let args: Vec<String> = std::env::args().collect();
     let total: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1 << 20);
     let nprocs: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(64);
@@ -19,20 +20,20 @@ fn main() {
         "Fig. 9 — LOD fidelity of a jet dataset ({total} particles, written by {nprocs} ranks \
          with adaptive 2x2x2 aggregation)"
     );
-    let storage = fig9::write_jet_dataset(nprocs, total, 0xC0A1);
-    let points = fig9::lod_quality(&storage, &[0.25, 0.5, 0.75, 1.0]);
+    let storage = fig9::write_jet_dataset(nprocs, total, 0xC0A1)?;
+    let points = fig9::lod_quality(&storage, &[0.25, 0.5, 0.75, 1.0])?;
 
     // Emit PPM renders of each fraction (the Fig. 9 panels) next to the
     // harness outputs.
     if let Ok(out_dir) = std::env::var("FIG9_PPM_DIR") {
-        let reader = spio_core::DatasetReader::open(&storage).unwrap();
+        let reader = spio_core::DatasetReader::open(&storage)?;
         for frac in [0.25, 0.5, 0.75, 1.0] {
             // Proper LOD prefixes: a proportional slice of every file.
             let target = (reader.meta.total_particles as f64 * frac).round() as u64;
-            let (prefix, _) = reader.read_lod_prefix(&storage, target).unwrap();
+            let (prefix, _) = reader.read_lod_prefix(&storage, target)?;
             let img = fig9::render_ppm(&prefix, &reader.meta.domain, 480, 480);
             let path = format!("{out_dir}/fig9_{:03}pct.ppm", (frac * 100.0) as u32);
-            std::fs::write(&path, img).expect("write ppm");
+            std::fs::write(&path, img)?;
             println!("wrote {path}");
         }
     }
@@ -60,4 +61,5 @@ fn main() {
          cells are sampled at the 25% level.",
         points[0].coverage * 100.0
     );
+    Ok(())
 }

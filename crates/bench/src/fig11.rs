@@ -9,7 +9,7 @@
 
 use hpcsim::{simulate_spio_write, MachineModel, WriteBreakdown};
 use spio_core::plan::plan_write;
-use spio_types::{Aabb3, DomainDecomposition, PartitionFactor};
+use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError};
 use spio_workloads::coverage_counts_density;
 
 /// The paper's Fig. 11 job size.
@@ -29,14 +29,14 @@ pub struct Point {
 }
 
 /// Run the sweep on one machine.
-pub fn adaptive_sweep(machine: &MachineModel) -> Vec<Point> {
+pub fn adaptive_sweep(machine: &MachineModel) -> Result<Vec<Point>, SpioError> {
     let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), PROCS);
     let factor = PartitionFactor::new(2, 2, 2);
     let mut out = Vec::new();
     for &coverage in &COVERAGES {
         let counts = coverage_counts_density(&decomp, coverage, PER_RANK);
         for adaptive in [false, true] {
-            let plan = plan_write(&decomp, factor, &counts, adaptive).unwrap();
+            let plan = plan_write(&decomp, factor, &counts, adaptive)?;
             out.push(Point {
                 coverage,
                 adaptive,
@@ -45,7 +45,7 @@ pub fn adaptive_sweep(machine: &MachineModel) -> Vec<Point> {
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Lookup helper.
@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn file_counts_follow_the_grids() {
-        let pts = adaptive_sweep(&mira());
+        let pts = adaptive_sweep(&mira()).unwrap();
         let files = |cov: f64, ad: bool| {
             pts.iter()
                 .find(|p| (p.coverage - cov).abs() < 1e-9 && p.adaptive == ad)
@@ -87,7 +87,7 @@ mod tests {
         // Fig. 11: "overall we find that adaptive aggregation yields
         // improvement over non-adaptive aggregation" on both machines.
         for m in [mira(), theta()] {
-            let pts = adaptive_sweep(&m);
+            let pts = adaptive_sweep(&m).unwrap();
             for cov in [0.5, 0.25, 0.125] {
                 let a = time_of(&pts, cov, true);
                 let n = time_of(&pts, cov, false);
@@ -110,7 +110,7 @@ mod tests {
         // from 100% to 50%, I/O time reduces significantly with adaptive
         // aggregation. The reduction … with non-adaptive aggregation is not
         // as significant."
-        let pts = adaptive_sweep(&mira());
+        let pts = adaptive_sweep(&mira()).unwrap();
         let a100 = time_of(&pts, 1.0, true);
         let a50 = time_of(&pts, 0.5, true);
         assert!(
@@ -136,7 +136,7 @@ mod tests {
         // Fig. 11 (Theta): "we observe almost constant performance on
         // Theta (green line)" — the OSTs are shared and placement of
         // aggregators matters less.
-        let pts = adaptive_sweep(&theta());
+        let pts = adaptive_sweep(&theta()).unwrap();
         let times: Vec<f64> = COVERAGES.iter().map(|&c| time_of(&pts, c, true)).collect();
         let max = times.iter().cloned().fold(0.0, f64::max);
         let min = times.iter().cloned().fold(f64::MAX, f64::min);
@@ -145,7 +145,7 @@ mod tests {
             "Theta adaptive should vary little: {times:?}"
         );
         // Coverage effects on Theta are much milder than on Mira.
-        let mira_pts = adaptive_sweep(&mira());
+        let mira_pts = adaptive_sweep(&mira()).unwrap();
         let mira_ratio = time_of(&mira_pts, 1.0, true) / time_of(&mira_pts, 0.125, true);
         let theta_ratio = time_of(&pts, 1.0, true) / time_of(&pts, 0.125, true);
         assert!(mira_ratio > theta_ratio);

@@ -12,7 +12,7 @@ use hpcsim::{
     simulate_spio_write, MachineModel, WriteBreakdown,
 };
 use spio_core::plan::plan_write;
-use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, PARTICLE_BYTES};
+use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError, PARTICLE_BYTES};
 
 /// One plotted point.
 #[derive(Debug, Clone)]
@@ -53,25 +53,28 @@ pub fn spio_point(
     procs: usize,
     per_core: u64,
     factor: PartitionFactor,
-) -> Point {
+) -> Result<Point, SpioError> {
     let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), procs);
     let counts = vec![per_core; procs];
-    let plan = plan_write(&decomp, factor, &counts, false)
-        .expect("paper configurations are valid for power-of-two grids");
-    Point {
+    let plan = plan_write(&decomp, factor, &counts, false)?;
+    Ok(Point {
         procs,
         series: factor.to_string(),
         breakdown: simulate_spio_write(&plan, machine),
-    }
+    })
 }
 
 /// Simulate the full Fig. 5 panel for one machine and workload.
-pub fn weak_scaling(machine: &MachineModel, procs_list: &[usize], per_core: u64) -> Vec<Point> {
+pub fn weak_scaling(
+    machine: &MachineModel,
+    procs_list: &[usize],
+    per_core: u64,
+) -> Result<Vec<Point>, SpioError> {
     let bytes_per_rank = per_core * PARTICLE_BYTES as u64;
     let mut points = Vec::new();
     for &procs in procs_list {
         for factor in configs_for(machine) {
-            points.push(spio_point(machine, procs, per_core, factor));
+            points.push(spio_point(machine, procs, per_core, factor)?);
         }
         points.push(Point {
             procs,
@@ -89,18 +92,17 @@ pub fn weak_scaling(machine: &MachineModel, procs_list: &[usize], per_core: u64)
             breakdown: simulate_hdf5_shared_write(procs, bytes_per_rank, machine),
         });
     }
-    points
+    Ok(points)
 }
 
 /// Best spatially-aware throughput at a process count (helper for the
-/// paper's headline numbers).
-pub fn best_spio_throughput(points: &[Point], procs: usize) -> (String, f64) {
+/// paper's headline numbers); `None` if no configuration ran there.
+pub fn best_spio_throughput(points: &[Point], procs: usize) -> Option<(String, f64)> {
     points
         .iter()
         .filter(|p| p.procs == procs && p.series.contains('x'))
         .map(|p| (p.series.clone(), p.throughput_gbs()))
         .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("at least one configuration per process count")
 }
 
 /// Throughput of a named series at a process count.
@@ -125,7 +127,7 @@ mod tests {
     #[test]
     fn mira_fpp_saturates_but_aggregated_configs_keep_scaling() {
         let m = mira();
-        let pts = weak_scaling(&m, &SCALING_PROCS, 32 * 1024);
+        let pts = weak_scaling(&m, &SCALING_PROCS, 32 * 1024).unwrap();
         // FPP throughput gains flatten: the last doubling buys < 35%.
         let fpp_128k = series_throughput(&pts, "IOR-FPP", 131_072);
         let fpp_256k = series_throughput(&pts, "IOR-FPP", 262_144);
@@ -146,8 +148,8 @@ mod tests {
     #[test]
     fn mira_larger_factors_win_at_scale() {
         let m = mira();
-        let pts = weak_scaling(&m, &[262_144], 32 * 1024);
-        let (best, _) = best_spio_throughput(&pts, 262_144);
+        let pts = weak_scaling(&m, &[262_144], 32 * 1024).unwrap();
+        let (best, _) = best_spio_throughput(&pts, 262_144).unwrap();
         assert!(
             best == "2x4x4" || best == "2x2x4",
             "Mira prefers large factors at scale, got {best}"
@@ -157,7 +159,7 @@ mod tests {
     #[test]
     fn theta_fpp_strong_early_then_overtaken() {
         let m = theta();
-        let pts = weak_scaling(&m, &SCALING_PROCS, 32 * 1024);
+        let pts = weak_scaling(&m, &SCALING_PROCS, 32 * 1024).unwrap();
         // Early on, FPP is at least competitive with (1,2,2).
         let fpp_4k = series_throughput(&pts, "IOR-FPP", 4096);
         let agg_4k = series_throughput(&pts, "1x2x2", 4096);
@@ -180,7 +182,7 @@ mod tests {
     #[test]
     fn theta_small_factors_beat_large_ones() {
         let m = theta();
-        let pts = weak_scaling(&m, &[262_144], 32 * 1024);
+        let pts = weak_scaling(&m, &[262_144], 32 * 1024).unwrap();
         let small = series_throughput(&pts, "1x2x2", 262_144);
         let large = series_throughput(&pts, "4x4x4", 262_144);
         assert!(
@@ -192,7 +194,7 @@ mod tests {
     #[test]
     fn collective_io_never_scales() {
         for m in [mira(), theta()] {
-            let pts = weak_scaling(&m, &[512, 32_768, 262_144], 32 * 1024);
+            let pts = weak_scaling(&m, &[512, 32_768, 262_144], 32 * 1024).unwrap();
             let c_small = series_throughput(&pts, "IOR-collective", 512);
             let c_large = series_throughput(&pts, "IOR-collective", 262_144);
             // Collective gains far less than the 512× resource increase.
@@ -202,7 +204,7 @@ mod tests {
                 m.name
             );
             // And is far below the best aggregated configuration at scale.
-            let (_, best) = best_spio_throughput(&pts, 262_144);
+            let (_, best) = best_spio_throughput(&pts, 262_144).unwrap();
             assert!(best > 4.0 * c_large, "{}: {best} vs {c_large}", m.name);
             // PHDF5 tracks collective but slower.
             let h = series_throughput(&pts, "PHDF5", 262_144);
@@ -215,14 +217,14 @@ mod tests {
         // §5.2: ~98 GB/s on Mira; 216 (32Ki) / 243 (64Ki) GB/s on Theta at
         // 262 144 processes. We require the same order of magnitude
         // (within ~2×) and the Theta > Mira ordering.
-        let mira_pts = weak_scaling(&mira(), &[262_144], 32 * 1024);
-        let (_, mira_best) = best_spio_throughput(&mira_pts, 262_144);
+        let mira_pts = weak_scaling(&mira(), &[262_144], 32 * 1024).unwrap();
+        let (_, mira_best) = best_spio_throughput(&mira_pts, 262_144).unwrap();
         assert!(
             mira_best > 49.0 && mira_best < 196.0,
             "Mira best ≈98 GB/s, got {mira_best}"
         );
-        let theta_pts = weak_scaling(&theta(), &[262_144], 32 * 1024);
-        let (_, theta_best) = best_spio_throughput(&theta_pts, 262_144);
+        let theta_pts = weak_scaling(&theta(), &[262_144], 32 * 1024).unwrap();
+        let (_, theta_best) = best_spio_throughput(&theta_pts, 262_144).unwrap();
         assert!(
             theta_best > 108.0 && theta_best < 432.0,
             "Theta best ≈216 GB/s, got {theta_best}"
@@ -232,7 +234,7 @@ mod tests {
 
     #[test]
     fn sixtyfour_ki_workload_also_simulates() {
-        let pts = weak_scaling(&theta(), &[512, 262_144], 64 * 1024);
+        let pts = weak_scaling(&theta(), &[512, 262_144], 64 * 1024).unwrap();
         assert!(pts.iter().all(|p| p.breakdown.total() > 0.0));
         // 64 Ki particles/core at 262 144 ranks ⇒ ~2 TB per timestep.
         let p = pts

@@ -4,7 +4,7 @@
 
 use hpcsim::{simulate_spio_write, MachineModel};
 use spio_core::plan::plan_write;
-use spio_types::{Aabb3, DomainDecomposition, PartitionFactor};
+use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError};
 
 /// One bar of Fig. 6.
 #[derive(Debug, Clone)]
@@ -20,20 +20,20 @@ pub struct Bar {
 pub const FIG6_PROCS: usize = 32_768;
 
 /// Compute the breakdown bars for one machine/workload.
-pub fn time_breakdown(machine: &MachineModel, per_core: u64) -> Vec<Bar> {
+pub fn time_breakdown(machine: &MachineModel, per_core: u64) -> Result<Vec<Bar>, SpioError> {
     crate::fig5::configs_for(machine)
         .into_iter()
         .map(|factor| {
             let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), FIG6_PROCS);
             let counts = vec![per_core; FIG6_PROCS];
-            let plan = plan_write(&decomp, factor, &counts, false).unwrap();
+            let plan = plan_write(&decomp, factor, &counts, false)?;
             let b = simulate_spio_write(&plan, machine);
-            Bar {
+            Ok(Bar {
                 config: factor,
                 aggregation_fraction: b.aggregation_fraction(),
                 aggregation_secs: b.aggregation,
                 file_io_secs: b.create + b.data_io,
-            }
+            })
         })
         .collect()
 }
@@ -75,8 +75,8 @@ impl RealBar {
 /// observable in real message traffic, not just the model. Each job runs
 /// with a [`spio_trace::Trace`] attached, and the returned bars carry the
 /// trace-derived split for cross-checking against `WriteStats`.
-pub fn time_breakdown_real(procs: usize, per_rank: usize) -> Vec<RealBar> {
-    use spio_comm::{run_threaded_collect, Comm};
+pub fn time_breakdown_real(procs: usize, per_rank: usize) -> Result<Vec<RealBar>, SpioError> {
+    use spio_comm::Comm;
     use spio_core::writer::phases;
     use spio_core::{MemStorage, SpatialWriter, WriteStats, WriterConfig};
     use spio_trace::{JobReport, Trace};
@@ -97,14 +97,12 @@ pub fn time_breakdown_real(procs: usize, per_rank: usize) -> Vec<RealBar> {
         let trace = Trace::collecting();
         let t = trace.clone();
         let d = decomp.clone();
-        let stats: Vec<WriteStats> = run_threaded_collect(procs, move |comm| {
+        let stats: Vec<WriteStats> = crate::run_ranks(procs, move |comm| {
             let ps = uniform_patch_particles(&d, comm.rank(), per_rank, 42);
             SpatialWriter::new(d.clone(), WriterConfig::new(factor))
                 .with_trace(t.clone())
                 .write(&comm, &ps, &storage.clone())
-                .unwrap()
-        })
-        .unwrap();
+        })?;
         let merged = WriteStats::merge_max(&stats);
         let agg = merged.aggregation_time.as_secs_f64();
         let io = merged.file_io_time.as_secs_f64();
@@ -124,7 +122,7 @@ pub fn time_breakdown_real(procs: usize, per_rank: usize) -> Vec<RealBar> {
             trace_file_io_secs: report.phase_max(phases::FILE_IO).as_secs_f64(),
         });
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -145,7 +143,7 @@ mod tests {
         // aggregation partitions" — on both machines and both workloads.
         for m in [mira(), theta()] {
             for per_core in [32 * 1024, 64 * 1024] {
-                let bars = time_breakdown(&m, per_core);
+                let bars = time_breakdown(&m, per_core).unwrap();
                 assert!(frac(&bars, (2, 2, 2)) <= frac(&bars, (2, 2, 4)) + 1e-9);
                 assert!(frac(&bars, (2, 2, 4)) <= frac(&bars, (2, 4, 4)) + 1e-9);
                 assert_eq!(frac(&bars, (1, 1, 1)), 0.0, "FPP has no aggregation");
@@ -157,7 +155,7 @@ mod tests {
     fn mira_aggregation_stays_a_small_share() {
         // Fig. 6a/b: "this percentage remains small compared to the actual
         // file I/O time" on Mira.
-        let bars = time_breakdown(&mira(), 32 * 1024);
+        let bars = time_breakdown(&mira(), 32 * 1024).unwrap();
         assert!(
             frac(&bars, (2, 4, 4)) < 0.4,
             "Mira 2x4x4 aggregation share too large: {}",
@@ -170,7 +168,7 @@ mod tests {
         // The trace phase spans and WriteStats come from the same clock
         // reads, so the two derivations of the Fig. 6 split must agree to
         // well within 5%.
-        for rb in time_breakdown_real(16, 4_000) {
+        for rb in time_breakdown_real(16, 4_000).unwrap() {
             assert!(
                 rb.trace_disagreement() <= 0.05,
                 "{}: trace ({:.6}s agg / {:.6}s io) vs stats ({:.6}s / {:.6}s)",
@@ -188,8 +186,8 @@ mod tests {
         // Fig. 6c/d: "on Theta … the aggregation of data over the network
         // is far more expensive than on Mira" for the same configuration.
         for cfg in [(2, 2, 2), (2, 2, 4), (2, 4, 4)] {
-            let m = frac(&time_breakdown(&mira(), 32 * 1024), cfg);
-            let t = frac(&time_breakdown(&theta(), 32 * 1024), cfg);
+            let m = frac(&time_breakdown(&mira(), 32 * 1024).unwrap(), cfg);
+            let t = frac(&time_breakdown(&theta(), 32 * 1024).unwrap(), cfg);
             assert!(t > m, "theta {t:.3} must exceed mira {m:.3} for {cfg:?}");
         }
     }

@@ -14,7 +14,7 @@
 use hpcsim::{simulate_box_read, MachineModel, ReadSimResult};
 use spio_core::grid::AggregationGrid;
 use spio_core::plan::{plan_box_read, plan_write_on_grid, DatasetShape};
-use spio_types::{Aabb3, DomainDecomposition, PartitionFactor};
+use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError};
 
 /// The paper's Fig. 7 dataset: 65 536 writers × 32 768 particles.
 pub const WRITER_PROCS: usize = 65_536;
@@ -46,12 +46,12 @@ impl Case {
 }
 
 /// Build the Fig. 7 dataset shape for a factor.
-pub fn dataset_shape(factor: PartitionFactor) -> DatasetShape {
+pub fn dataset_shape(factor: PartitionFactor) -> Result<DatasetShape, SpioError> {
     let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), WRITER_PROCS);
-    let grid = AggregationGrid::aligned(&decomp, factor).unwrap();
+    let grid = AggregationGrid::aligned(&decomp, factor)?;
     let counts = vec![PARTICLES_PER_WRITER; WRITER_PROCS];
-    let plan = plan_write_on_grid(&grid, &counts, false).unwrap();
-    DatasetShape::from_write(&grid, &plan)
+    let plan = plan_write_on_grid(&grid, &counts, false)?;
+    Ok(DatasetShape::from_write(&grid, &plan))
 }
 
 /// One strong-scaling point.
@@ -63,9 +63,9 @@ pub struct Point {
 }
 
 /// Run the three cases across a reader sweep on one machine.
-pub fn read_scaling(machine: &MachineModel, readers: &[usize]) -> Vec<Point> {
-    let agg = dataset_shape(PartitionFactor::new(2, 2, 2));
-    let fpp = dataset_shape(PartitionFactor::new(1, 1, 1));
+pub fn read_scaling(machine: &MachineModel, readers: &[usize]) -> Result<Vec<Point>, SpioError> {
+    let agg = dataset_shape(PartitionFactor::new(2, 2, 2))?;
+    let fpp = dataset_shape(PartitionFactor::new(1, 1, 1))?;
     let mut out = Vec::new();
     for &n in readers {
         out.push(Point {
@@ -84,7 +84,7 @@ pub fn read_scaling(machine: &MachineModel, readers: &[usize]) -> Vec<Point> {
             result: simulate_box_read(&plan_box_read(&fpp, n, true), machine),
         });
     }
-    out
+    Ok(out)
 }
 
 /// Lookup helper.
@@ -103,16 +103,16 @@ mod tests {
 
     #[test]
     fn dataset_is_two_billion_particles() {
-        let s = dataset_shape(PartitionFactor::new(2, 2, 2));
+        let s = dataset_shape(PartitionFactor::new(2, 2, 2)).unwrap();
         assert_eq!(s.total_particles, 1 << 31);
         assert_eq!(s.files.len(), 8192, "64Ki/(2·2·2) files");
-        let fpp = dataset_shape(PartitionFactor::new(1, 1, 1));
+        let fpp = dataset_shape(PartitionFactor::new(1, 1, 1)).unwrap();
         assert_eq!(fpp.files.len(), 65_536);
     }
 
     #[test]
     fn theta_with_metadata_strong_scales() {
-        let pts = read_scaling(&theta(), &[64, 2048]);
+        let pts = read_scaling(&theta(), &[64, 2048]).unwrap();
         let t64 = time_of(&pts, Case::AggWithMeta, 64);
         let t2048 = time_of(&pts, Case::AggWithMeta, 2048);
         assert!(
@@ -132,7 +132,7 @@ mod tests {
             } else {
                 [4, 64]
             };
-            let pts = read_scaling(&machine, &readers);
+            let pts = read_scaling(&machine, &readers).unwrap();
             for &n in &readers {
                 let nometa = time_of(&pts, Case::AggWithoutMeta, n);
                 let meta = time_of(&pts, Case::AggWithMeta, n);
@@ -158,10 +158,10 @@ mod tests {
         // Fig. 7: reading 64 Ki files "has a stronger impact on Theta as
         // compared to the SSD based workstation", where the times are
         // "almost comparable".
-        let theta_pts = read_scaling(&theta(), &[64]);
+        let theta_pts = read_scaling(&theta(), &[64]).unwrap();
         let t_gap =
             time_of(&theta_pts, Case::FppWithMeta, 64) / time_of(&theta_pts, Case::AggWithMeta, 64);
-        let ws_pts = read_scaling(&workstation(), &[16]);
+        let ws_pts = read_scaling(&workstation(), &[16]).unwrap();
         let w_gap =
             time_of(&ws_pts, Case::FppWithMeta, 16) / time_of(&ws_pts, Case::AggWithMeta, 16);
         assert!(
@@ -180,7 +180,7 @@ mod tests {
         // Fig. 7: "although the large number of files reduces the overall
         // performance, the spatial information … still allows this approach
         // to scale well".
-        let pts = read_scaling(&theta(), &[64, 1024]);
+        let pts = read_scaling(&theta(), &[64, 1024]).unwrap();
         let t64 = time_of(&pts, Case::FppWithMeta, 64);
         let t1024 = time_of(&pts, Case::FppWithMeta, 1024);
         assert!(t1024 < t64, "time must drop with more readers");

@@ -10,7 +10,7 @@ use crate::fig7::dataset_shape;
 use crate::fig7::{PARTICLES_PER_WRITER, WRITER_PROCS};
 use hpcsim::{simulate_lod_read, MachineModel};
 use spio_core::plan::{plan_lod_read, DatasetShape};
-use spio_types::PartitionFactor;
+use spio_types::{PartitionFactor, SpioError};
 
 /// Readers in the Fig. 8 experiment.
 pub const READERS: usize = 64;
@@ -25,7 +25,7 @@ pub struct Point {
 }
 
 /// The Fig. 8 dataset (same as Fig. 7's aggregated dataset).
-pub fn lod_dataset() -> DatasetShape {
+pub fn lod_dataset() -> Result<DatasetShape, SpioError> {
     dataset_shape(PartitionFactor::new(2, 2, 2))
 }
 
@@ -35,10 +35,10 @@ pub fn max_level(shape: &DatasetShape) -> u32 {
 }
 
 /// Sweep levels 1 ..= max on one machine.
-pub fn lod_sweep(machine: &MachineModel) -> Vec<Point> {
-    let shape = lod_dataset();
+pub fn lod_sweep(machine: &MachineModel) -> Result<Vec<Point>, SpioError> {
+    let shape = lod_dataset()?;
     let max = max_level(&shape);
-    (1..=max)
+    Ok((1..=max)
         .map(|level| {
             let plan = plan_lod_read(&shape, READERS, level);
             let r = simulate_lod_read(&plan, machine);
@@ -49,7 +49,7 @@ pub fn lod_sweep(machine: &MachineModel) -> Vec<Point> {
                 opens: r.total_opens,
             }
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -60,7 +60,7 @@ mod tests {
     #[test]
     fn paper_level_count() {
         // §5.4: n=64, P=32, S=2, 2^31 particles ⇒ top level l = 20.
-        let shape = lod_dataset();
+        let shape = lod_dataset().unwrap();
         assert_eq!(shape.total_particles, 1 << 31);
         assert_eq!(max_level(&shape), 20);
         assert_eq!(WRITER_PROCS as u64 * PARTICLES_PER_WRITER, 1 << 31);
@@ -71,7 +71,7 @@ mod tests {
         // Fig. 8 (Theta): "the first few levels can be read in about the
         // same time … dominated by file opening"; beyond ~level 8 the time
         // grows with the particle volume.
-        let pts = lod_sweep(&theta());
+        let pts = lod_sweep(&theta()).unwrap();
         let t = |l: u32| pts.iter().find(|p| p.level == l).unwrap().time;
         assert!(
             t(6) < t(1) * 1.3,
@@ -93,8 +93,8 @@ mod tests {
         // volume well before Theta's open-dominated plateau ends (~level 8)
         // — "for initial lower levels we observe time increasing
         // proportionally with the number of particles being read".
-        let ws = lod_sweep(&workstation());
-        let th = lod_sweep(&theta());
+        let ws = lod_sweep(&workstation()).unwrap();
+        let th = lod_sweep(&theta()).unwrap();
         let t = |pts: &[Point], l: u32| pts.iter().find(|p| p.level == l).unwrap().time;
         let ws_growth = t(&ws, 12) / t(&ws, 4);
         let th_growth = t(&th, 12) / t(&th, 4);
@@ -120,13 +120,13 @@ mod tests {
         // entire dataset using 64 cores (as seen in Figure 7)".
         use crate::fig7::{read_scaling, time_of, Case};
         for machine in [theta(), workstation()] {
-            let pts = lod_sweep(&machine);
+            let pts = lod_sweep(&machine).unwrap();
             let full_lod = pts.last().unwrap();
             // Full payload plus each file's header + checksum-footer fetch.
             let expect = (1u64 << 31) * 124
                 + 8192 * spio_format::data_file::lod_open_overhead((1 << 31) / 8192);
             assert_eq!(full_lod.bytes, expect, "all particles read");
-            let fig7 = read_scaling(&machine, &[64]);
+            let fig7 = read_scaling(&machine, &[64]).unwrap();
             let fig7_time = time_of(&fig7, Case::AggWithMeta, 64);
             let ratio = full_lod.time / fig7_time;
             assert!(
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn opens_are_constant_across_levels() {
-        let pts = lod_sweep(&theta());
+        let pts = lod_sweep(&theta()).unwrap();
         assert!(pts.windows(2).all(|w| w[0].opens == w[1].opens));
         // 8192 files, one open each.
         assert_eq!(pts[0].opens, 8192);

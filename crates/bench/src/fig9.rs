@@ -9,11 +9,9 @@
 //! the full dataset: normalized RMSE and feature coverage (the fraction of
 //! occupied density cells that the prefix also samples).
 
-use spio_comm::{run_threaded_collect, Comm};
-use spio_core::{
-    DatasetReader, FsStorage, LodOrder, MemStorage, SpatialWriter, Storage, WriterConfig,
-};
-use spio_types::{Aabb3, DomainDecomposition, GridDims, Particle, PartitionFactor};
+use spio_comm::Comm;
+use spio_core::{DatasetReader, LodOrder, MemStorage, SpatialWriter, Storage, WriterConfig};
+use spio_types::{Aabb3, DomainDecomposition, GridDims, Particle, PartitionFactor, SpioError};
 use spio_workloads::{jet_patch_particles, JetSpec};
 
 /// Density histogram resolution per axis.
@@ -77,7 +75,11 @@ pub fn fidelity(full: &[f64], prefix: &[f64], fraction: f64) -> (f64, f64) {
 
 /// Write a jet dataset with `nprocs` thread-backed ranks and return the
 /// storage. Runs the real spatially-aware writer end to end.
-pub fn write_jet_dataset(nprocs: usize, total_particles: u64, seed: u64) -> MemStorage {
+pub fn write_jet_dataset(
+    nprocs: usize,
+    total_particles: u64,
+    seed: u64,
+) -> Result<MemStorage, SpioError> {
     write_jet_dataset_ordered(nprocs, total_particles, seed, LodOrder::Random)
 }
 
@@ -88,7 +90,7 @@ pub fn write_jet_dataset_ordered(
     total_particles: u64,
     seed: u64,
     order: LodOrder,
-) -> MemStorage {
+) -> Result<MemStorage, SpioError> {
     let storage = MemStorage::new();
     let s2 = storage.clone();
     let decomp =
@@ -97,7 +99,7 @@ pub fn write_jet_dataset_ordered(
         total_particles,
         ..JetSpec::default()
     };
-    run_threaded_collect(nprocs, move |comm| {
+    crate::run_ranks(nprocs, move |comm| {
         let particles = jet_patch_particles(&decomp, comm.rank(), &spec, seed);
         // The jet leaves much of the domain empty: use adaptive aggregation.
         let writer = SpatialWriter::new(
@@ -107,19 +109,21 @@ pub fn write_jet_dataset_ordered(
                 .with_lod_order(order)
                 .adaptive(true),
         );
-        writer.write(&comm, &particles, &s2).unwrap();
-    })
-    .unwrap();
-    storage
+        writer.write(&comm, &particles, &s2)
+    })?;
+    Ok(storage)
 }
 
 /// Run the Fig. 9 sweep: read 25/50/75/100 % LOD prefixes of a jet dataset
 /// and measure fidelity.
-pub fn lod_quality<S: Storage>(storage: &S, fractions: &[f64]) -> Vec<FidelityPoint> {
-    let reader = DatasetReader::open(storage).expect("dataset must exist");
+pub fn lod_quality<S: Storage>(
+    storage: &S,
+    fractions: &[f64],
+) -> Result<Vec<FidelityPoint>, SpioError> {
+    let reader = DatasetReader::open(storage)?;
     let domain = reader.meta.domain;
     let total = reader.meta.total_particles;
-    let (all, _) = reader.read_all(storage).expect("full read");
+    let (all, _) = reader.read_all(storage)?;
     let full_field = density_field(&all, &domain);
 
     fractions
@@ -130,18 +134,16 @@ pub fn lod_quality<S: Storage>(storage: &S, fractions: &[f64]) -> Vec<FidelityPo
             // layout makes each file prefix a uniform subsample of its
             // partition, so the union is a uniform subsample of the domain.
             let target = (total as f64 * fraction).round() as u64;
-            let (prefix, _) = reader
-                .read_lod_prefix(storage, target)
-                .expect("prefix read");
+            let (prefix, _) = reader.read_lod_prefix(storage, target)?;
             let actual_fraction = prefix.len() as f64 / total as f64;
             let pf = density_field(&prefix, &domain);
             let (normalized_rmse, coverage) = fidelity(&full_field, &pf, actual_fraction);
-            FidelityPoint {
+            Ok(FidelityPoint {
                 fraction,
                 particles_read: prefix.len() as u64,
                 normalized_rmse,
                 coverage,
-            }
+            })
         })
         .collect()
 }
@@ -172,43 +174,14 @@ pub fn render_ppm(particles: &[Particle], domain: &Aabb3, width: usize, height: 
     out
 }
 
-/// Convenience for the binary: write to a directory instead of memory.
-pub fn write_jet_dataset_fs(
-    dir: &std::path::Path,
-    nprocs: usize,
-    total_particles: u64,
-    seed: u64,
-) -> FsStorage {
-    let storage = FsStorage::new(dir);
-    let s2 = storage.clone();
-    let decomp =
-        DomainDecomposition::uniform(Aabb3::new([0.0; 3], [1.0; 3]), GridDims::near_cubic(nprocs));
-    let spec = JetSpec {
-        total_particles,
-        ..JetSpec::default()
-    };
-    run_threaded_collect(nprocs, move |comm| {
-        let particles = jet_patch_particles(&decomp, comm.rank(), &spec, seed);
-        let writer = SpatialWriter::new(
-            decomp.clone(),
-            WriterConfig::new(PartitionFactor::new(2, 2, 2))
-                .with_seed(seed)
-                .adaptive(true),
-        );
-        writer.write(&comm, &particles, &s2).unwrap();
-    })
-    .unwrap();
-    storage
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fidelity_improves_with_fraction() {
-        let storage = write_jet_dataset(8, 60_000, 7);
-        let pts = lod_quality(&storage, &[0.25, 0.5, 0.75, 1.0]);
+        let storage = write_jet_dataset(8, 60_000, 7).unwrap();
+        let pts = lod_quality(&storage, &[0.25, 0.5, 0.75, 1.0]).unwrap();
         assert_eq!(pts.len(), 4);
         // RMSE decreases monotonically (up to sampling noise) and is ~0 at
         // 100%.
@@ -232,10 +205,10 @@ mod tests {
     fn stratified_order_covers_at_least_as_well_at_low_fractions() {
         // §3.4 ablation: the stratified heuristic must not lose to the
         // random shuffle on feature coverage at small prefixes.
-        let random = write_jet_dataset_ordered(8, 60_000, 7, LodOrder::Random);
-        let strat = write_jet_dataset_ordered(8, 60_000, 7, LodOrder::Stratified);
-        let r = lod_quality(&random, &[0.05]);
-        let s = lod_quality(&strat, &[0.05]);
+        let random = write_jet_dataset_ordered(8, 60_000, 7, LodOrder::Random).unwrap();
+        let strat = write_jet_dataset_ordered(8, 60_000, 7, LodOrder::Stratified).unwrap();
+        let r = lod_quality(&random, &[0.05]).unwrap();
+        let s = lod_quality(&strat, &[0.05]).unwrap();
         assert!(
             s[0].coverage >= r[0].coverage - 0.02,
             "stratified {} vs random {}",
@@ -243,7 +216,7 @@ mod tests {
             r[0].coverage
         );
         // Both remain valid datasets covering everything at 100%.
-        let s_full = lod_quality(&strat, &[1.0]);
+        let s_full = lod_quality(&strat, &[1.0]).unwrap();
         assert!(s_full[0].normalized_rmse < 1e-9);
     }
 
@@ -260,7 +233,7 @@ mod tests {
 
     #[test]
     fn density_field_counts_all_particles() {
-        let storage = write_jet_dataset(8, 10_000, 3);
+        let storage = write_jet_dataset(8, 10_000, 3).unwrap();
         let reader = DatasetReader::open(&storage).unwrap();
         let (all, _) = reader.read_all(&storage).unwrap();
         let field = density_field(&all, &reader.meta.domain);

@@ -26,6 +26,18 @@ pub mod read_bench;
 pub mod regression;
 pub mod table;
 
+use spio_comm::{run_threaded_collect, ThreadComm};
+use spio_types::SpioError;
+
+/// Run `f` on `nprocs` thread ranks, failing if the job or any rank does.
+pub(crate) fn run_ranks<T, F>(nprocs: usize, f: F) -> Result<Vec<T>, SpioError>
+where
+    F: Fn(ThreadComm) -> Result<T, SpioError> + Send + Sync + 'static,
+    T: Send + 'static,
+{
+    run_threaded_collect(nprocs, f)?.into_iter().collect()
+}
+
 /// The paper's per-core workloads (§5.1): 32 Ki and 64 Ki particles per
 /// process (≈4 MB and ≈8 MB at 124 B/particle).
 pub const PARTICLES_PER_CORE: [u64; 2] = [32 * 1024, 64 * 1024];

@@ -14,11 +14,10 @@
 //! concurrent eviction order is not deterministic.
 
 use crate::regression::SLACK_US;
-use spio_comm::run_threaded_collect;
 use spio_core::{MemStorage, SpatialWriter, WriterConfig};
 use spio_serve::{client_queries, hot_spot, Query, QueryEngine, ServeConfig, WorkloadSpec};
 use spio_trace::{JobReport, Trace};
-use spio_types::{Aabb3, DomainDecomposition, PartitionFactor};
+use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError};
 use spio_util::Json;
 
 /// How to run the read benchmark.
@@ -104,29 +103,26 @@ pub struct ReadBenchRun {
 
 /// Write the benchmark dataset once: the fig6 uniform workload at
 /// `procs` ranks, aggregated 2×2×1.
-fn build_dataset(cfg: &ReadBenchConfig) -> MemStorage {
+fn build_dataset(cfg: &ReadBenchConfig) -> Result<MemStorage, SpioError> {
     let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), cfg.procs);
     let factor = PartitionFactor::new(2, 2, 1);
     let storage = MemStorage::new();
     let (s, d, per_rank, seed) = (storage.clone(), decomp, cfg.per_rank, cfg.seed);
-    run_threaded_collect(cfg.procs, move |comm| {
+    crate::run_ranks(cfg.procs, move |comm| {
         let ps = spio_workloads::uniform_patch_particles(
             &d,
             spio_comm::Comm::rank(&comm),
             per_rank,
             seed,
         );
-        SpatialWriter::new(d.clone(), WriterConfig::new(factor))
-            .write(&comm, &ps, &s)
-            .unwrap()
-    })
-    .unwrap();
-    storage
+        SpatialWriter::new(d.clone(), WriterConfig::new(factor)).write(&comm, &ps, &s)
+    })?;
+    Ok(storage)
 }
 
 /// Run the read benchmark and distill a [`ReadBenchRecord`].
-pub fn run_read_bench(cfg: &ReadBenchConfig) -> ReadBenchRun {
-    let storage = build_dataset(cfg);
+pub fn run_read_bench(cfg: &ReadBenchConfig) -> Result<ReadBenchRun, SpioError> {
+    let storage = build_dataset(cfg)?;
     let runs = cfg.runs.max(1);
     let mut cold_us = u64::MAX;
     let mut warm_us = u64::MAX;
@@ -139,8 +135,7 @@ pub fn run_read_bench(cfg: &ReadBenchConfig) -> ReadBenchRun {
     for _ in 0..runs {
         let trace = Trace::collecting();
         let engine =
-            QueryEngine::open_traced(storage.clone(), ServeConfig::default(), trace.clone())
-                .unwrap();
+            QueryEngine::open_traced(storage.clone(), ServeConfig::default(), trace.clone())?;
         let hot = Query::Box(hot_spot(&engine.meta().domain));
 
         // Cold: first touch of the hot-spot files (storage + decode).
@@ -173,10 +168,11 @@ pub fn run_read_bench(cfg: &ReadBenchConfig) -> ReadBenchRun {
             cold.particles.len() as u64,
         ));
     }
-    let (trace, hits, misses, total_particles, box_particles) = last.expect("runs >= 1");
+    let (trace, hits, misses, total_particles, box_particles) =
+        last.ok_or_else(|| SpioError::Config("read bench ran no runs".into()))?;
     let metrics_jsonl = trace.metrics().to_jsonl();
     let report = JobReport::from_snapshot(1, &trace.snapshot()).with_metrics(&trace.metrics());
-    ReadBenchRun {
+    Ok(ReadBenchRun {
         record: ReadBenchRecord {
             procs: cfg.procs,
             per_rank: cfg.per_rank,
@@ -191,7 +187,7 @@ pub fn run_read_bench(cfg: &ReadBenchConfig) -> ReadBenchRun {
         },
         report,
         metrics_jsonl,
-    }
+    })
 }
 
 impl ReadBenchRecord {
@@ -315,14 +311,14 @@ mod tests {
 
     #[test]
     fn record_roundtrips_through_json() {
-        let run = run_read_bench(&tiny());
+        let run = run_read_bench(&tiny()).unwrap();
         let back = ReadBenchRecord::from_json(&run.record.to_json()).unwrap();
         assert_eq!(back, run.record);
     }
 
     #[test]
     fn run_produces_serving_artifacts() {
-        let run = run_read_bench(&tiny());
+        let run = run_read_bench(&tiny()).unwrap();
         assert!(run.record.box_particles > 0, "hot spot query hit particles");
         assert!(run.record.cache_hits + run.record.cache_misses > 0);
         // The traced run surfaces query latency and cache counters.
@@ -336,7 +332,7 @@ mod tests {
 
     #[test]
     fn identical_records_pass_and_slowdowns_fail() {
-        let run = run_read_bench(&tiny());
+        let run = run_read_bench(&tiny()).unwrap();
         let base = run.record;
         assert_eq!(
             compare_read(&base, &base, DEFAULT_THRESHOLD).unwrap(),

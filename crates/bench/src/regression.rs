@@ -13,12 +13,12 @@
 //! drifted (which means the baseline describes a different workload and
 //! must be re-recorded, not compared).
 
-use spio_comm::{run_threaded_collect, Comm, TracedComm};
+use spio_comm::{Comm, TracedComm};
 use spio_core::{
     DatasetReader, MemStorage, SpatialWriter, TracedStorage, WriteStats, WriterConfig,
 };
 use spio_trace::{JobReport, Trace, TraceSnapshot};
-use spio_types::{Aabb3, DomainDecomposition, PartitionFactor};
+use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError};
 use spio_util::Json;
 
 /// Relative slowdown tolerated before a phase counts as regressed.
@@ -111,7 +111,7 @@ pub fn fig6_factors() -> [PartitionFactor; 4] {
 ///
 /// The last job additionally replays a whole-domain read through a traced
 /// reader, so the returned snapshot/report exercise the read path too.
-pub fn run_fig6(cfg: &BenchConfig) -> BenchRun {
+pub fn run_fig6(cfg: &BenchConfig) -> Result<BenchRun, SpioError> {
     let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), cfg.procs);
     let factors: Vec<PartitionFactor> = fig6_factors()
         .into_iter()
@@ -129,7 +129,7 @@ pub fn run_fig6(cfg: &BenchConfig) -> BenchRun {
             let (t, d) = (trace.clone(), decomp.clone());
             let s = storage.clone();
             let per_rank = cfg.per_rank;
-            let stats: Vec<WriteStats> = run_threaded_collect(cfg.procs, move |comm| {
+            let stats: Vec<WriteStats> = crate::run_ranks(cfg.procs, move |comm| {
                 let rank = comm.rank();
                 let comm = TracedComm::new(comm, t.clone());
                 let traced = TracedStorage::new(s.clone(), t.clone(), rank);
@@ -137,19 +137,15 @@ pub fn run_fig6(cfg: &BenchConfig) -> BenchRun {
                 SpatialWriter::new(d.clone(), WriterConfig::new(factor))
                     .with_trace(t.clone())
                     .write(&comm, &ps, &traced)
-                    .unwrap()
-            })
-            .unwrap();
+            })?;
             let _ = WriteStats::merge_max(&stats);
             let is_last_job = fi + 1 == factors.len() && run + 1 == runs;
             if is_last_job {
                 // Whole-domain read pass through the traced reader, so the
                 // exported snapshot covers reads as well as the write job.
                 let traced = TracedStorage::new(storage.clone(), trace.clone(), 0);
-                let reader = DatasetReader::open_traced(&traced, trace.clone(), 0).unwrap();
-                reader
-                    .read_box(&traced, &Aabb3::new([0.0; 3], [1.0; 3]))
-                    .unwrap();
+                let reader = DatasetReader::open_traced(&traced, trace.clone(), 0)?;
+                reader.read_box(&traced, &Aabb3::new([0.0; 3], [1.0; 3]))?;
             }
             let report = JobReport::from_snapshot(cfg.procs, &trace.snapshot());
             fingerprint = (
@@ -170,11 +166,16 @@ pub fn run_fig6(cfg: &BenchConfig) -> BenchRun {
             storage_ops: fingerprint.2,
         });
     }
-    let (trace, _storage) = last.expect("at least one valid partition factor");
+    let (trace, _storage) = last.ok_or_else(|| {
+        SpioError::Config(format!(
+            "no fig6 partition factor is valid at {} ranks",
+            cfg.procs
+        ))
+    })?;
     let metrics_jsonl = trace.metrics().to_jsonl();
     let snapshot = trace.take_snapshot();
     let report = JobReport::from_snapshot(cfg.procs, &snapshot);
-    BenchRun {
+    Ok(BenchRun {
         record: BenchRecord {
             procs: cfg.procs,
             per_rank: cfg.per_rank,
@@ -183,7 +184,7 @@ pub fn run_fig6(cfg: &BenchConfig) -> BenchRun {
         snapshot,
         report,
         metrics_jsonl,
-    }
+    })
 }
 
 /// Fold one run's per-phase critical-path times into the running minima.
@@ -369,14 +370,14 @@ mod tests {
 
     #[test]
     fn record_roundtrips_through_json() {
-        let run = run_fig6(&tiny());
+        let run = run_fig6(&tiny()).unwrap();
         let back = BenchRecord::from_json(&run.record.to_json()).unwrap();
         assert_eq!(back, run.record);
     }
 
     #[test]
     fn record_covers_all_valid_factors_and_phases() {
-        let run = run_fig6(&tiny());
+        let run = run_fig6(&tiny()).unwrap();
         assert!(
             run.record.configs.len() >= 2,
             "expected several partition factors at 8 ranks: {:?}",
@@ -403,7 +404,7 @@ mod tests {
         // Acceptance: a traced fig6 run must export a Chrome trace that
         // passes the schema validator, and a report with latency
         // percentiles and a per-phase imbalance table.
-        let run = run_fig6(&tiny());
+        let run = run_fig6(&tiny()).unwrap();
         let chrome = spio_trace::chrome_trace(&run.snapshot);
         spio_trace::validate_chrome_trace(&chrome).unwrap();
         let lat = run.report.op_latency("write_file").unwrap();
@@ -415,7 +416,7 @@ mod tests {
 
     #[test]
     fn identical_records_pass_the_gate() {
-        let run = run_fig6(&tiny());
+        let run = run_fig6(&tiny()).unwrap();
         assert_eq!(
             compare(&run.record, &run.record, DEFAULT_THRESHOLD).unwrap(),
             Vec::<String>::new()
@@ -424,7 +425,7 @@ mod tests {
 
     #[test]
     fn slowdown_beyond_threshold_and_slack_regresses() {
-        let base = run_fig6(&tiny()).record;
+        let base = run_fig6(&tiny()).unwrap().record;
         let mut slow = base.clone();
         for c in &mut slow.configs {
             for p in &mut c.phases {
@@ -447,7 +448,7 @@ mod tests {
 
     #[test]
     fn workload_mismatch_is_an_error_not_a_regression() {
-        let base = run_fig6(&tiny()).record;
+        let base = run_fig6(&tiny()).unwrap().record;
         let mut other = base.clone();
         other.per_rank += 1;
         assert!(compare(&base, &other, DEFAULT_THRESHOLD).is_err());

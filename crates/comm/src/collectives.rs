@@ -16,6 +16,18 @@ fn recv_or_die<C: CollectiveComm + ?Sized>(comm: &C, src: Rank, tag: Tag) -> Vec
         .unwrap_or_else(|e| panic!("collective receive failed: {e}"))
 }
 
+/// Decode a collective's 8-byte `u64` payload. As with [`recv_or_die`], a
+/// payload of another length means the schedule itself is broken.
+fn u64_or_die(bytes: Vec<u8>) -> u64 {
+    #[expect(
+        clippy::expect_used,
+        reason = "collectives return plain values because the `Comm` trait does; \
+                  the job runtime turns this rank panic into `SpioError::Comm`"
+    )]
+    let word: [u8; 8] = bytes.try_into().expect("collective payload is 8 bytes");
+    u64::from_le_bytes(word)
+}
+
 /// Dissemination barrier: `ceil(log2 n)` rounds, rank `r` signals
 /// `(r + 2^k) mod n` and waits for `(r - 2^k) mod n`.
 pub fn dissemination_barrier<C: CollectiveComm + ?Sized>(comm: &C) {
@@ -43,10 +55,10 @@ pub fn dissemination_barrier<C: CollectiveComm + ?Sized>(comm: &C) {
 pub fn ring_allgather<C: CollectiveComm + ?Sized>(comm: &C, data: &[u8]) -> Vec<Vec<u8>> {
     let n = comm.size();
     let me = comm.rank();
-    let mut blocks: Vec<Option<Vec<u8>>> = vec![None; n];
-    blocks[me] = Some(data.to_vec());
+    let mut blocks: Vec<Vec<u8>> = vec![Vec::new(); n];
+    blocks[me] = data.to_vec();
     if n == 1 {
-        return blocks.into_iter().map(Option::unwrap).collect();
+        return blocks;
     }
     let tag = comm.next_collective_tag();
     let right = (me + 1) % n;
@@ -54,15 +66,12 @@ pub fn ring_allgather<C: CollectiveComm + ?Sized>(comm: &C, data: &[u8]) -> Vec<
     // At step s we forward the block that originated at (me - s) mod n.
     for s in 0..n - 1 {
         let outgoing_origin = (me + n - s) % n;
-        let block = blocks[outgoing_origin]
-            .clone()
-            .expect("ring invariant: block present before forwarding");
-        comm.isend(right, tag, block).wait();
+        comm.isend(right, tag, blocks[outgoing_origin].clone())
+            .wait();
         let incoming_origin = (me + n - s - 1) % n;
-        let received = recv_or_die(comm, left, tag);
-        blocks[incoming_origin] = Some(received);
+        blocks[incoming_origin] = recv_or_die(comm, left, tag);
     }
-    blocks.into_iter().map(Option::unwrap).collect()
+    blocks
 }
 
 /// Direct (pairwise) variable-size all-to-all. Every rank posts all sends,
@@ -180,8 +189,7 @@ pub fn tree_reduce_u64<C: CollectiveComm + ?Sized>(
     let mut bit = 1;
     while bit < lowest && vrank + bit < n {
         let child = (vrank + bit + root) % n;
-        let b = recv_or_die(comm, child, tag);
-        let v = u64::from_le_bytes(b.try_into().expect("reduce payload is 8 bytes"));
+        let v = u64_or_die(recv_or_die(comm, child, tag));
         acc = op(acc, v);
         bit <<= 1;
     }
@@ -206,7 +214,7 @@ pub fn allreduce_u64<C: CollectiveComm + ?Sized>(
         .map(|v| v.to_le_bytes().to_vec())
         .unwrap_or_default();
     let bytes = binomial_broadcast(comm, 0, payload);
-    u64::from_le_bytes(bytes.try_into().expect("allreduce payload is 8 bytes"))
+    u64_or_die(bytes)
 }
 
 /// Exclusive prefix sum of `u64` values (rank 0 gets 0) — the offset
@@ -231,8 +239,7 @@ pub fn exclusive_scan_u64<C: CollectiveComm + ?Sized>(comm: &C, value: u64) -> u
                 .wait();
         }
         if me >= dist {
-            let b = recv_or_die(comm, me - dist, base + round);
-            let v = u64::from_le_bytes(b.try_into().expect("scan payload is 8 bytes"));
+            let v = u64_or_die(recv_or_die(comm, me - dist, base + round));
             result += v;
             carry += v;
         }

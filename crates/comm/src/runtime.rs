@@ -30,14 +30,20 @@ where
         .enumerate()
         .map(|(rank, comm)| {
             let f = std::sync::Arc::clone(&f);
-            std::thread::Builder::new()
+            #[expect(
+                clippy::expect_used,
+                reason = "ranks already spawned would block on the missing one; \
+                          returning an error needs their teardown first"
+            )]
+            let handle = std::thread::Builder::new()
                 .name(format!("spio-rank-{rank}"))
                 // Rank programs are shallow; a modest stack lets tests run
                 // hundreds of ranks without exhausting address space on
                 // 32-bit-friendly settings.
                 .stack_size(2 * 1024 * 1024)
                 .spawn(move || f(comm))
-                .expect("failed to spawn rank thread")
+                .expect("failed to spawn rank thread");
+            handle
         })
         .collect();
 

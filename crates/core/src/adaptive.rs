@@ -105,22 +105,23 @@ impl AdaptiveGrid {
         // rectangle until the target count is reached.
         let mut rects = vec![(lo, hi, weight(lo, hi))];
         while rects.len() < target {
-            // Pick the heaviest rectangle with more than one patch.
-            let Some(pos) = rects
+            // Pick the heaviest rectangle with more than one patch, and
+            // its longest splittable axis.
+            let Some((pos, axis, _)) = rects
                 .iter()
                 .enumerate()
-                .filter(|(_, (l, h, _))| (0..3).any(|a| h[a] - l[a] > 1))
-                .max_by_key(|(_, (_, _, w))| *w)
-                .map(|(i, _)| i)
+                .filter_map(|(i, (l, h, w))| {
+                    (0..3)
+                        .filter(|&a| h[a] - l[a] > 1)
+                        .max_by_key(|&a| h[a] - l[a])
+                        .map(|axis| (i, axis, *w))
+                })
+                .max_by_key(|&(_, _, w)| w)
             else {
                 break; // everything is single-patch; cannot split further
             };
             let (rlo, rhi, rw) = rects.swap_remove(pos);
-            // Split along the longest splittable axis at the weight median.
-            let axis = (0..3)
-                .filter(|&a| rhi[a] - rlo[a] > 1)
-                .max_by_key(|&a| rhi[a] - rlo[a])
-                .expect("filtered to splittable rectangles");
+            // Split along that axis at the weight median.
             let mut best_cut = rlo[axis] + 1;
             let mut best_diff = u64::MAX;
             let mut acc = 0u64;

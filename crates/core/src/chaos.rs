@@ -25,7 +25,7 @@
 use crate::storage::Storage;
 use spio_trace::Trace;
 use spio_types::SpioError;
-use spio_util::Rng;
+use spio_util::{lock_unpoisoned, Rng};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
@@ -181,19 +181,21 @@ impl<S: Storage> ChaosStorage<S> {
 
     /// Snapshot of the injection counters.
     pub fn stats(&self) -> ChaosStats {
-        self.state.lock().unwrap().stats
+        lock_unpoisoned(&self.state).stats
     }
 
     /// Explicitly poison `name`: every subsequent op on it fails. Lets
     /// tests stage "one bad file" scenarios without probabilistic config.
     pub fn poison(&self, name: &str) {
-        self.state.lock().unwrap().poisoned.insert(name.to_string());
+        lock_unpoisoned(&self.state)
+            .poisoned
+            .insert(name.to_string());
     }
 
     /// Decide the fate of one faultable op. `write` selects which budget
     /// and rate apply; `len` is the write length (for tear points).
     fn roll(&self, name: &str, write: bool, len: usize) -> Verdict {
-        let st = &mut *self.state.lock().unwrap();
+        let st = &mut *lock_unpoisoned(&self.state);
         let budget = if write {
             &mut st.write_budget
         } else {
@@ -249,7 +251,7 @@ impl<S: Storage> ChaosStorage<S> {
         if buf.is_empty() || self.config.bit_flip_rate <= 0.0 {
             return false;
         }
-        let st = &mut *self.state.lock().unwrap();
+        let st = &mut *lock_unpoisoned(&self.state);
         if st.rng.f64() < self.config.bit_flip_rate {
             let byte = st.rng.u64_below(buf.len() as u64) as usize;
             let bit = (st.rng.next_u64() % 8) as u8;

@@ -280,10 +280,9 @@ impl AggregationGrid {
     /// placement ablation study.
     pub fn use_partition_local_aggregators(&mut self) {
         for part in &mut self.partitions {
-            part.agg_rank = *part
-                .members
-                .first()
-                .expect("partitions always cover at least one patch");
+            if let Some(&first) = part.members.first() {
+                part.agg_rank = first;
+            }
         }
     }
 

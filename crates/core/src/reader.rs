@@ -121,11 +121,18 @@ impl PrefixFile {
         let bytes = storage.read_range(&self.name, start, end)?;
         stats.files_opened += 1;
         stats.bytes_read += bytes.len() as u64;
+        if bytes.len() as u64 != end - start {
+            return Err(SpioError::Format(format!(
+                "'{}': ranged read of [{start}, {end}) returned {} bytes",
+                self.name,
+                bytes.len()
+            )));
+        }
         self.absorb(&bytes)?;
         if target == self.total && self.bytes_in_chunk > 0 {
             self.close_chunk()?;
         }
-        out.extend(spio_types::particle::decode_particles(&bytes));
+        out.extend(spio_types::particle::decode_particles(&bytes)?);
         self.loaded = target;
         Ok(())
     }
@@ -1016,6 +1023,73 @@ mod tests {
                 .map(|r| BoxQueryReader::reader_query(&domain, n, r).volume())
                 .sum();
             assert!((vol - domain.volume()).abs() < 1e-9, "n={n}");
+        }
+    }
+
+    /// Delegates to `inner`, except that a ranged read starting at the
+    /// first payload byte comes back `short` bytes short.
+    struct ShortPayloadRead {
+        inner: MemStorage,
+        short: usize,
+    }
+
+    impl Storage for ShortPayloadRead {
+        fn write_file(&self, name: &str, data: &[u8]) -> Result<(), SpioError> {
+            self.inner.write_file(name, data)
+        }
+        fn read_file(&self, name: &str) -> Result<Vec<u8>, SpioError> {
+            self.inner.read_file(name)
+        }
+        fn read_range(&self, name: &str, start: u64, end: u64) -> Result<Vec<u8>, SpioError> {
+            let mut bytes = self.inner.read_range(name, start, end)?;
+            if start == HEADER_BYTES as u64 {
+                bytes.truncate(bytes.len().saturating_sub(self.short));
+            }
+            Ok(bytes)
+        }
+        fn file_size(&self, name: &str) -> Result<u64, SpioError> {
+            self.inner.file_size(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn write_range(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), SpioError> {
+            self.inner.write_range(name, offset, data)
+        }
+    }
+
+    #[test]
+    fn short_ranged_read_is_an_error() {
+        let storage = build_dataset(1000);
+        let meta = DatasetReader::open(&storage).unwrap().meta;
+        let entry = meta.entries[0];
+        let total = meta.total_particles;
+        let level0 = LodParams::file_prefix(
+            entry.particle_count,
+            total,
+            meta.lod.prefix_len(1, 0, total),
+        );
+        // Level 0 ends inside the file's only checksum chunk, so no chunk
+        // CRC can catch the missing bytes.
+        assert_eq!(entry.particle_count, 4000);
+        assert!(level0 > 1 && level0 < entry.particle_count);
+        for short in [1, PARTICLE_BYTES] {
+            let storage = ShortPayloadRead {
+                inner: storage.clone(),
+                short,
+            };
+            let mut out = Vec::new();
+            let res = PrefixFile::new(entry.file_name(), entry.particle_count).extend_to(
+                &storage,
+                level0,
+                &mut ReadStats::default(),
+                &mut out,
+            );
+            assert!(
+                matches!(res, Err(SpioError::Format(_))),
+                "{short} bytes short: {res:?}, {} particles",
+                out.len()
+            );
         }
     }
 

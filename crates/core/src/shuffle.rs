@@ -88,7 +88,8 @@ pub fn lod_shuffle_parallel(particles: &mut [Particle], seed: u64) {
             })
             .collect();
         for h in handles {
-            keyed.extend(h.join().expect("shuffle key thread panicked"));
+            // Re-raise a key thread's panic on the calling thread.
+            keyed.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
     });
     keyed.sort_unstable_by_key(|&(k, i, _)| (k, i));

@@ -10,6 +10,7 @@
 
 use spio_trace::Trace;
 use spio_types::SpioError;
+use spio_util::{read_unpoisoned, write_unpoisoned};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
@@ -169,16 +170,14 @@ impl MemStorage {
 
     /// Names of all stored files (sorted, for deterministic assertions).
     pub fn file_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.files.read().unwrap().keys().cloned().collect();
+        let mut names: Vec<String> = read_unpoisoned(&self.files).keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Total bytes across all files.
     pub fn total_bytes(&self) -> u64 {
-        self.files
-            .read()
-            .unwrap()
+        read_unpoisoned(&self.files)
             .values()
             .map(|v| v.len() as u64)
             .sum()
@@ -187,17 +186,12 @@ impl MemStorage {
 
 impl Storage for MemStorage {
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), SpioError> {
-        self.files
-            .write()
-            .unwrap()
-            .insert(name.to_string(), Arc::new(data.to_vec()));
+        write_unpoisoned(&self.files).insert(name.to_string(), Arc::new(data.to_vec()));
         Ok(())
     }
 
     fn read_file(&self, name: &str) -> Result<Vec<u8>, SpioError> {
-        self.files
-            .read()
-            .unwrap()
+        read_unpoisoned(&self.files)
             .get(name)
             .map(|v| v.as_ref().clone())
             .ok_or_else(|| SpioError::NotFound(name.to_string()))
@@ -205,7 +199,7 @@ impl Storage for MemStorage {
 
     fn read_range(&self, name: &str, start: u64, end: u64) -> Result<Vec<u8>, SpioError> {
         check_range(name, start, end)?;
-        let files = self.files.read().unwrap();
+        let files = read_unpoisoned(&self.files);
         let data = files
             .get(name)
             .ok_or_else(|| SpioError::NotFound(name.to_string()))?;
@@ -219,20 +213,18 @@ impl Storage for MemStorage {
     }
 
     fn file_size(&self, name: &str) -> Result<u64, SpioError> {
-        self.files
-            .read()
-            .unwrap()
+        read_unpoisoned(&self.files)
             .get(name)
             .map(|v| v.len() as u64)
             .ok_or_else(|| SpioError::NotFound(name.to_string()))
     }
 
     fn exists(&self, name: &str) -> bool {
-        self.files.read().unwrap().contains_key(name)
+        read_unpoisoned(&self.files).contains_key(name)
     }
 
     fn write_range(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), SpioError> {
-        let mut files = self.files.write().unwrap();
+        let mut files = write_unpoisoned(&self.files);
         let entry = files.entry(name.to_string()).or_default();
         let buf = Arc::make_mut(entry);
         let end = offset as usize + data.len();

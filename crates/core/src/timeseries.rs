@@ -12,6 +12,7 @@ use crate::storage::Storage;
 use crate::writer::SpatialWriter;
 use crate::{DatasetReader, WriteStats};
 use spio_comm::Comm;
+use spio_types::le::{u64_at, u64_words};
 use spio_types::{Particle, SpioError};
 
 /// Name of the series manifest file.
@@ -94,13 +95,11 @@ impl SeriesManifest {
         if bytes.len() < 16 || bytes[..8] != SERIES_MAGIC {
             return Err(SpioError::Format("bad series manifest".into()));
         }
-        let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        if bytes.len() != 16 + 8 * n {
+        let n = u64_at(bytes, 8)?;
+        let steps = u64_words(&bytes[16..])?;
+        if steps.len() as u64 != n {
             return Err(SpioError::Format("series manifest length mismatch".into()));
         }
-        let steps = (0..n)
-            .map(|i| u64::from_le_bytes(bytes[16 + i * 8..24 + i * 8].try_into().unwrap()))
-            .collect();
         Ok(SeriesManifest { steps })
     }
 
@@ -210,6 +209,13 @@ mod tests {
         };
         assert_eq!(SeriesManifest::decode(&m.encode()).unwrap(), m);
         assert!(SeriesManifest::decode(&m.encode()[..10]).is_err());
+    }
+
+    #[test]
+    fn manifest_with_huge_count_is_an_error() {
+        let mut bytes = SERIES_MAGIC.to_vec();
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(SeriesManifest::decode(&bytes).is_err());
     }
 
     #[test]

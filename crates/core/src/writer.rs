@@ -35,6 +35,7 @@ use spio_format::data_file::{encode_data_file, DataFileHeader};
 use spio_format::meta::AttrRange;
 use spio_format::{data_file_name, FileEntry, LodParams, SpatialMetadata, META_FILE_NAME};
 use spio_trace::Trace;
+use spio_types::le::{aabb_at, f64_at, u64_at};
 use spio_types::{Aabb3, DomainDecomposition, Particle, Rank, SpioError};
 use std::time::Instant;
 
@@ -234,7 +235,9 @@ impl SpatialWriter {
         let my_partition = grid.aggregated_partition(me);
         let mut my_entry: Option<(usize, FileEntry, AttrRange)> = None;
         if let Some(part_idx) = my_partition {
-            let mut buffer = aggregated.expect("aggregator must have a buffer");
+            let mut buffer = aggregated.ok_or_else(|| {
+                SpioError::Comm(format!("aggregator rank {me} received no particle buffer"))
+            })?;
             stats.particles_aggregated = buffer.len() as u64;
 
             let t0 = Instant::now();
@@ -498,7 +501,7 @@ impl SpatialWriter {
                 .collect();
             for h in handles {
                 let bytes = h.wait()?;
-                buffer.extend(spio_types::particle::decode_particles(&bytes));
+                buffer.extend(spio_types::particle::decode_particles(&bytes)?);
             }
             Some(buffer)
         } else {
@@ -606,7 +609,7 @@ impl SpatialWriter {
                 .map(|&s| comm.irecv(s, TAG_DATA))
                 .collect();
             for h in handles {
-                buffer.extend(spio_types::particle::decode_particles(&h.wait()?));
+                buffer.extend(spio_types::particle::decode_particles(&h.wait()?)?);
             }
             Some(buffer)
         } else {
@@ -644,14 +647,7 @@ fn decode_declared(bytes: &[u8]) -> Result<(u64, Aabb3), SpioError> {
     if bytes.len() != 56 {
         return Err(SpioError::Comm("bad declared-extent message".into()));
     }
-    let count = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-    let mut lo = [0.0; 3];
-    let mut hi = [0.0; 3];
-    for a in 0..3 {
-        lo[a] = f64::from_le_bytes(bytes[8 + a * 8..16 + a * 8].try_into().unwrap());
-        hi[a] = f64::from_le_bytes(bytes[32 + a * 8..40 + a * 8].try_into().unwrap());
-    }
-    Ok((count, Aabb3 { lo, hi }))
+    Ok((u64_at(bytes, 0)?, aabb_at(bytes, 8)?))
 }
 
 /// Encode a rank's contribution to the metadata gather: empty for
@@ -680,29 +676,23 @@ fn decode_meta_contribution(bytes: &[u8]) -> Option<(usize, FileEntry, AttrRange
     if bytes.len() != 104 {
         return None;
     }
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-    let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-    let part_idx = u64_at(0) as usize;
-    let mut lo = [0.0; 3];
-    let mut hi = [0.0; 3];
-    for a in 0..3 {
-        lo[a] = f64_at(24 + a * 8);
-        hi[a] = f64_at(48 + a * 8);
-    }
-    Some((
-        part_idx,
-        FileEntry {
-            agg_rank: u64_at(8),
-            particle_count: u64_at(16),
-            bounds: Aabb3 { lo, hi },
-        },
-        AttrRange {
-            density_min: f64_at(72),
-            density_max: f64_at(80),
-            volume_min: f64_at(88),
-            volume_max: f64_at(96),
-        },
-    ))
+    let decode = || -> Result<_, SpioError> {
+        Ok((
+            u64_at(bytes, 0)? as usize,
+            FileEntry {
+                agg_rank: u64_at(bytes, 8)?,
+                particle_count: u64_at(bytes, 16)?,
+                bounds: aabb_at(bytes, 24)?,
+            },
+            AttrRange {
+                density_min: f64_at(bytes, 72)?,
+                density_max: f64_at(bytes, 80)?,
+                volume_min: f64_at(bytes, 88)?,
+                volume_max: f64_at(bytes, 96)?,
+            },
+        ))
+    };
+    decode().ok()
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@
 //!   reads use identical byte arithmetic for both versions and v1 datasets
 //!   read back byte-identically.
 
+use spio_types::le::{aabb_at, u32_at, u64_at};
+use spio_types::particle::decode_particles;
 use spio_types::{Aabb3, Particle, SpioError, PARTICLE_BYTES};
 use spio_util::crc32;
 
@@ -146,46 +148,38 @@ impl DataFileHeader {
         if bytes[..8] != DATA_MAGIC {
             return Err(SpioError::Format("bad data-file magic".into()));
         }
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let version = u32_at(8);
+        let version = u32_at(bytes, 8)?;
         if version != DATA_VERSION_V1 && version != DATA_VERSION {
             return Err(SpioError::Format(format!(
                 "unsupported data-file version {version} (expected {DATA_VERSION_V1} or {DATA_VERSION})"
             )));
         }
         let checksum_chunk = if version >= 2 {
-            let stored = u32_at(HEADER_BYTES - 4);
+            let stored = u32_at(bytes, HEADER_BYTES - 4)?;
             let computed = crc32(&bytes[..HEADER_BYTES - 4]);
             if stored != computed {
                 return Err(SpioError::Format(format!(
                     "header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
                 )));
             }
-            u32_at(80)
+            u32_at(bytes, 80)?
         } else {
             0
         };
-        let flags = u32_at(12);
-        let particle_count = u64_at(16);
+        let flags = u32_at(bytes, 12)?;
+        let particle_count = u64_at(bytes, 16)?;
         if version >= 2 && flags & header_flags::CHECKSUMS != 0 && checksum_chunk == 0 {
             return Err(SpioError::Format(
                 "checksummed file declares a zero chunk size".into(),
             ));
         }
-        let mut lo = [0.0; 3];
-        let mut hi = [0.0; 3];
-        for a in 0..3 {
-            lo[a] = f64_at(24 + a * 8);
-            hi[a] = f64_at(48 + a * 8);
-        }
-        let shuffle_seed = u64_at(72);
+        let bounds = aabb_at(bytes, 24)?;
+        let shuffle_seed = u64_at(bytes, 72)?;
         Ok(DataFileHeader {
             version,
             flags,
             particle_count,
-            bounds: Aabb3 { lo, hi },
+            bounds,
             shuffle_seed,
             checksum_chunk,
         })
@@ -289,10 +283,7 @@ pub fn decode_data_file(bytes: &[u8]) -> Result<(DataFileHeader, Vec<Particle>),
     }
     verify_checksums_with_header(&header, bytes)?;
     let payload_end = HEADER_BYTES + header.particle_count as usize * PARTICLE_BYTES;
-    let particles = bytes[HEADER_BYTES..payload_end]
-        .chunks_exact(PARTICLE_BYTES)
-        .map(Particle::decode)
-        .collect();
+    let particles = decode_particles(&bytes[HEADER_BYTES..payload_end])?;
     Ok((header, particles))
 }
 

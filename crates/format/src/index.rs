@@ -73,11 +73,7 @@ impl SpatialIndex {
         // Quantize centers against the union of the boxes rather than a
         // caller-supplied domain: robust to metadata whose header domain
         // is stale or wider than the data.
-        let union = boxes
-            .iter()
-            .copied()
-            .reduce(|a, b| a.union(&b))
-            .expect("non-empty");
+        let union = boxes.iter().fold(Aabb3::empty(), |a, b| a.union(b));
         let extent = union.extent();
         let mut keyed: Vec<(u64, u32)> = boxes
             .iter()
@@ -161,9 +157,7 @@ impl SpatialIndex {
 fn build_node(nodes: &mut Vec<Node>, boxes: &[Aabb3], start: usize, end: usize) -> u32 {
     let bounds = boxes[start..end]
         .iter()
-        .copied()
-        .reduce(|a, b| a.union(&b))
-        .expect("non-empty node range");
+        .fold(Aabb3::empty(), |a, b| a.union(b));
     let id = nodes.len() as u32;
     if end - start <= LEAF_SIZE {
         nodes.push(Node {

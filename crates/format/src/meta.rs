@@ -9,6 +9,7 @@
 
 use crate::data_file_name;
 use crate::lod::LodParams;
+use spio_types::le::{aabb_at, f64_at, u32_at, u64_at};
 use spio_types::{Aabb3, GridDims, PartitionFactor, SpioError};
 
 /// Magic bytes opening the metadata file.
@@ -173,78 +174,78 @@ impl SpatialMetadata {
         if bytes[..8] != META_MAGIC {
             return Err(SpioError::Format("bad metadata magic".into()));
         }
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let version = u32_at(8);
+        let version = u32_at(bytes, 8)?;
         if version == 0 || version > META_VERSION {
             return Err(SpioError::Format(format!(
                 "unsupported metadata version {version}"
             )));
         }
-        let flags = u32_at(12);
-        let mut lo = [0.0; 3];
-        let mut hi = [0.0; 3];
-        for a in 0..3 {
-            lo[a] = f64_at(16 + a * 8);
-            hi[a] = f64_at(40 + a * 8);
-        }
-        let domain = Aabb3 { lo, hi };
-        let writer_grid = GridDims::new(
-            u32_at(64) as usize,
-            u32_at(68) as usize,
-            u32_at(72) as usize,
-        );
-        let partition_factor = PartitionFactor::new(
-            u32_at(76) as usize,
-            u32_at(80) as usize,
-            u32_at(84) as usize,
-        );
-        let lod = LodParams::new(u64_at(88), u64_at(96))
+        let flags = u32_at(bytes, 12)?;
+        let domain = aabb_at(bytes, 16)?;
+        // Three positive u32 fields from `at`: a zero would violate the
+        // `GridDims`/`PartitionFactor` invariant.
+        let dims_at = |at: usize| -> Result<[usize; 3], SpioError> {
+            let mut d = [0; 3];
+            for (i, v) in d.iter_mut().enumerate() {
+                *v = u32_at(bytes, at + 4 * i)? as usize;
+            }
+            if d.contains(&0) {
+                return Err(SpioError::Format(format!(
+                    "metadata grid field at offset {at} has a zero dimension: {d:?}"
+                )));
+            }
+            Ok(d)
+        };
+        let [nx, ny, nz] = dims_at(64)?;
+        let writer_grid = GridDims::new(nx, ny, nz);
+        let [px, py, pz] = dims_at(76)?;
+        let partition_factor = PartitionFactor::new(px, py, pz);
+        let lod = LodParams::new(u64_at(bytes, 88)?, u64_at(bytes, 96)?)
             .map_err(|e| SpioError::Format(format!("bad LOD params in metadata: {e}")))?;
-        let total_particles = u64_at(104);
-        let n_entries = u64_at(112) as usize;
-        let need = HEADER_BYTES + n_entries * ENTRY_BYTES;
-        if bytes.len() < need {
+        let total_particles = u64_at(bytes, 104)?;
+        let n_entries = u64_at(bytes, 112)?;
+        // Checked: a corrupted count must be an error, not an overflow or a
+        // huge allocation.
+        let section = |record_bytes: usize| {
+            usize::try_from(n_entries)
+                .ok()
+                .and_then(|n| n.checked_mul(record_bytes))
+        };
+        let entries_end = section(ENTRY_BYTES).and_then(|len| len.checked_add(HEADER_BYTES));
+        let Some(entries_end) = entries_end.filter(|&end| end <= bytes.len()) else {
             return Err(SpioError::Format(format!(
-                "metadata declares {n_entries} entries ({need} bytes) but file has {}",
+                "metadata declares {n_entries} entries but file has {} bytes",
                 bytes.len()
             )));
-        }
-        let mut entries = Vec::with_capacity(n_entries);
-        for i in 0..n_entries {
-            let o = HEADER_BYTES + i * ENTRY_BYTES;
-            let agg_rank = u64_at(o);
-            let particle_count = u64_at(o + 8);
-            let mut lo = [0.0; 3];
-            let mut hi = [0.0; 3];
-            for a in 0..3 {
-                lo[a] = f64_at(o + 16 + a * 8);
-                hi[a] = f64_at(o + 40 + a * 8);
-            }
-            entries.push(FileEntry {
-                agg_rank,
-                particle_count,
-                bounds: Aabb3 { lo, hi },
-            });
-        }
+        };
+        let entries = (HEADER_BYTES..entries_end)
+            .step_by(ENTRY_BYTES)
+            .map(|o| {
+                Ok(FileEntry {
+                    agg_rank: u64_at(bytes, o)?,
+                    particle_count: u64_at(bytes, o + 8)?,
+                    bounds: aabb_at(bytes, o + 16)?,
+                })
+            })
+            .collect::<Result<Vec<_>, SpioError>>()?;
         let attr_ranges = if version >= 2 && flags & FLAG_ATTR_RANGES != 0 {
-            let base = HEADER_BYTES + n_entries * ENTRY_BYTES;
-            if bytes.len() < base + n_entries * RANGE_BYTES {
+            let ranges_end = section(RANGE_BYTES).and_then(|len| len.checked_add(entries_end));
+            let Some(ranges_end) = ranges_end.filter(|&end| end <= bytes.len()) else {
                 return Err(SpioError::Format(
                     "metadata attribute-range section truncated".into(),
                 ));
-            }
-            let mut ranges = Vec::with_capacity(n_entries);
-            for i in 0..n_entries {
-                let o = base + i * RANGE_BYTES;
-                ranges.push(AttrRange {
-                    density_min: f64_at(o),
-                    density_max: f64_at(o + 8),
-                    volume_min: f64_at(o + 16),
-                    volume_max: f64_at(o + 24),
-                });
-            }
+            };
+            let ranges = (entries_end..ranges_end)
+                .step_by(RANGE_BYTES)
+                .map(|o| {
+                    Ok(AttrRange {
+                        density_min: f64_at(bytes, o)?,
+                        density_max: f64_at(bytes, o + 8)?,
+                        volume_min: f64_at(bytes, o + 16)?,
+                        volume_max: f64_at(bytes, o + 24)?,
+                    })
+                })
+                .collect::<Result<Vec<_>, SpioError>>()?;
             Some(ranges)
         } else {
             None

@@ -84,5 +84,13 @@ fn truncations_of_valid_metadata_never_panic() {
         let bytes = meta.encode();
         let cut = g.index(bytes.len() + 1);
         let _ = SpatialMetadata::decode(&bytes[..cut]);
+        // A zeroed writer-grid or partition-factor dimension, or an entry
+        // count whose byte length overflows, is an error too.
+        let mut bad = bytes.clone();
+        match g.index(7) {
+            6 => bad[112..120].copy_from_slice(&(1u64 << 58).to_le_bytes()),
+            k => bad[64 + 4 * k..68 + 4 * k].copy_from_slice(&0u32.to_le_bytes()),
+        }
+        assert!(SpatialMetadata::decode(&bad).is_err());
     });
 }

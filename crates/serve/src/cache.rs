@@ -58,12 +58,14 @@ struct Shard {
 }
 
 impl Shard {
-    fn touch(&mut self, key: BlockKey) {
+    /// Bump `key`'s recency and return its block, if cached.
+    fn touch(&mut self, key: BlockKey) -> Option<Arc<Vec<Particle>>> {
+        let slot = self.map.get_mut(&key)?;
         self.clock += 1;
-        let slot = self.map.get_mut(&key).expect("touched slot exists");
         self.lru.remove(&slot.stamp);
         slot.stamp = self.clock;
         self.lru.insert(self.clock, key);
+        Some(slot.block.clone())
     }
 }
 
@@ -123,16 +125,15 @@ impl BlockCache {
     /// Look up a block, bumping its recency on hit.
     pub fn get(&self, key: &BlockKey) -> Option<Arc<Vec<Particle>>> {
         let mut shard = lock_unpoisoned(self.shard_of(key));
-        if shard.map.contains_key(key) {
-            shard.touch(*key);
+        let block = shard.touch(*key);
+        if block.is_some() {
             shard.hits += 1;
             self.hits.inc();
-            Some(shard.map[key].block.clone())
         } else {
             shard.misses += 1;
             self.misses.inc();
-            None
         }
+        block
     }
 
     /// Insert a successfully decoded block, evicting LRU blocks from the
@@ -152,9 +153,14 @@ impl BlockCache {
             shard.bytes -= old.cost;
             delta -= old.cost as i64;
         }
+        // Bytes over budget imply an LRU entry, and every entry has a slot.
         while shard.bytes + cost > self.shard_budget {
-            let (_, victim) = shard.lru.pop_first().expect("bytes > 0 implies a victim");
-            let evicted = shard.map.remove(&victim).expect("lru entry has a slot");
+            let Some((_, victim)) = shard.lru.pop_first() else {
+                break;
+            };
+            let Some(evicted) = shard.map.remove(&victim) else {
+                continue;
+            };
             shard.bytes -= evicted.cost;
             delta -= evicted.cost as i64;
             shard.evictions += 1;

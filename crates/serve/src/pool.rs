@@ -30,19 +30,21 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn `workers` threads (at least one).
+    /// Spawn `workers` threads (at least one asked for). A thread the OS
+    /// refuses is skipped; with none at all, [`WorkerPool::submit`] runs
+    /// every job inline.
     pub fn new(workers: usize) -> WorkerPool {
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let panics = Arc::new(AtomicUsize::new(0));
         let workers = (0..workers.max(1))
-            .map(|i| {
+            .filter_map(|i| {
                 let rx = Arc::clone(&rx);
                 let panics = Arc::clone(&panics);
                 std::thread::Builder::new()
                     .name(format!("spio-serve-{i}"))
                     .spawn(move || worker_loop(&rx, &panics))
-                    .expect("spawn worker thread")
+                    .ok()
             })
             .collect();
         WorkerPool {

@@ -39,7 +39,6 @@ fn usage() -> ExitCode {
          [--report-out F]\n  \
          spio series   <dir>\n  \
          spio render   <dir> <out.ppm>\n  \
-         spio lint     [root] [--update]\n  \
          spio verify-comm [--procs N] [--seeds K]\n  \
          spio convert-fpp <src-dir> <nwriters> <dst-dir> <PxxPyxPz> <x0> <y0> <z0> <x1> <y1> <z1>"
     );
@@ -108,7 +107,7 @@ fn bench_cmd(rest: &[String]) -> Result<(), SpioError> {
         "running fig6 workload: {} ranks x {} particles, {} run(s) per config",
         cfg.procs, cfg.per_rank, cfg.runs
     );
-    let run = regression::run_fig6(&cfg);
+    let run = regression::run_fig6(&cfg)?;
     for c in &run.record.configs {
         let times: Vec<String> = c
             .phases
@@ -193,7 +192,7 @@ fn read_bench_cmd(rest: &[String]) -> Result<(), SpioError> {
         "running read workload: {} ranks x {} particles, {} clients x {} queries, {} run(s)",
         cfg.procs, cfg.per_rank, cfg.clients, cfg.queries_per_client, cfg.runs
     );
-    let run = read_bench::run_read_bench(&cfg);
+    let run = read_bench::run_read_bench(&cfg)?;
     println!(
         "  cold_box={}µs warm_box={}µs (speedup {:.1}x), replay hit rate {:.0}%",
         run.record.cold_box_us,
@@ -347,21 +346,6 @@ fn main() -> ExitCode {
         }
         ("bench", rest) => bench_cmd(rest),
         ("serve-bench", [dir, rest @ ..]) => serve_bench_cmd(dir, rest),
-        ("lint", rest) => {
-            let update = rest.iter().any(|a| a == "--update");
-            let roots: Vec<&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
-            let root = match roots.as_slice() {
-                [] => ".",
-                [r] => r.as_str(),
-                _ => return usage(),
-            };
-            spio_tools::lint_ratchet(root, update).map(|(text, ok)| {
-                print!("{text}");
-                if !ok {
-                    std::process::exit(1);
-                }
-            })
-        }
         ("verify-comm", rest) => {
             let mut procs = 4usize;
             let mut seeds = 16u64;

@@ -502,74 +502,6 @@ pub fn open_dir(path: &str) -> FsStorage {
     FsStorage::new(path)
 }
 
-/// `spio lint`: scan the source tree and gate against the committed
-/// `lint.ratchet` baseline (counts may only decrease). With `update`,
-/// rewrite the baseline to the current counts instead.
-///
-/// Returns the human-readable summary plus `true` when the gate passes.
-pub fn lint_ratchet(root: &str, update: bool) -> Result<(String, bool), SpioError> {
-    use spio_verify::lint::{lint_tree, LintConfig, Ratchet};
-    use std::fmt::Write as _;
-
-    let cfg = LintConfig::new(root);
-    let counts = lint_tree(&cfg)?;
-    let path = cfg.ratchet_path();
-    if update {
-        std::fs::write(&path, Ratchet::from_counts(&counts).render())?;
-        return Ok((
-            format!(
-                "wrote {} ({} findings across {} crate/rule pairs)\n",
-                path.display(),
-                counts.total(),
-                counts.counts.len()
-            ),
-            true,
-        ));
-    }
-    let baseline = Ratchet::load(&path).map_err(|e| {
-        SpioError::Config(format!(
-            "cannot read {}: {e}\nrun `spio lint --update` to create the baseline",
-            path.display()
-        ))
-    })?;
-    let cmp = baseline.compare(&counts);
-    let mut out = format!(
-        "lint: {} findings, baseline tolerates {}\n",
-        counts.total(),
-        baseline.entries.values().sum::<u64>()
-    );
-    for (krate, rule, base, cur) in &cmp.improvements {
-        let _ = writeln!(
-            out,
-            "  improved  {krate}/{rule}: {base} -> {cur} (tighten with `spio lint --update`)"
-        );
-    }
-    for (krate, rule, base, cur) in &cmp.regressions {
-        let _ = writeln!(out, "  REGRESSED {krate}/{rule}: {base} -> {cur}");
-        // The scanner can't know which occurrences are new, so list all
-        // current sites for the regressed pair — the diff will be obvious
-        // against the PR.
-        for f in counts
-            .findings
-            .iter()
-            .filter(|f| f.rule == rule.as_str() && f.file.contains(&format!("{krate}/")))
-        {
-            let _ = writeln!(out, "      {}:{}: {}", f.file, f.line, f.excerpt);
-        }
-    }
-    let ok = cmp.is_ok();
-    let _ = writeln!(
-        out,
-        "lint gate {}",
-        if ok {
-            "PASS"
-        } else {
-            "FAIL (counts may only decrease)"
-        }
-    );
-    Ok((out, ok))
-}
-
 /// `spio verify-comm`: run the MPI-semantics verification suite — every
 /// collective checked for schedule invariance across `seeds` deterministic
 /// interleavings of `procs` ranks, then the known-bad fixture corpus run
@@ -947,46 +879,6 @@ mod tests {
         assert!(text.contains("diagnosed"), "{text}");
         assert!(text.contains("verify-comm PASS"), "{text}");
         assert!(!text.contains("NOT DIAGNOSED"), "{text}");
-    }
-
-    #[test]
-    fn lint_ratchet_gates_and_updates() {
-        let dir = spio_util::tempdir().unwrap();
-        let root = dir.path().to_string_lossy().into_owned();
-        let src = dir.path().join("crates/demo/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(src.join("lib.rs"), "pub fn f() { x.unwrap(); }\n").unwrap();
-
-        // No baseline yet: the gate refuses and points at --update.
-        let err = lint_ratchet(&root, false).unwrap_err();
-        assert!(err.to_string().contains("--update"), "{err}");
-
-        // --update writes the baseline; the gate then passes.
-        let (msg, ok) = lint_ratchet(&root, true).unwrap();
-        assert!(ok, "{msg}");
-        let (msg, ok) = lint_ratchet(&root, false).unwrap();
-        assert!(ok, "{msg}");
-        assert!(msg.contains("lint gate PASS"), "{msg}");
-
-        // New debt: the ratchet fails and names the site.
-        std::fs::write(
-            src.join("lib.rs"),
-            "pub fn f() { x.unwrap(); y.unwrap(); }\n",
-        )
-        .unwrap();
-        let (msg, ok) = lint_ratchet(&root, false).unwrap();
-        assert!(!ok, "{msg}");
-        assert!(
-            msg.contains("REGRESSED demo/unwrap-expect: 1 -> 2"),
-            "{msg}"
-        );
-        assert!(msg.contains("crates/demo/src/lib.rs:1"), "{msg}");
-
-        // Paying debt down passes (and suggests tightening).
-        std::fs::write(src.join("lib.rs"), "pub fn f() {}\n").unwrap();
-        let (msg, ok) = lint_ratchet(&root, false).unwrap();
-        assert!(ok, "{msg}");
-        assert!(msg.contains("improved"), "{msg}");
     }
 
     #[test]

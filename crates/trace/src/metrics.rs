@@ -14,7 +14,7 @@
 //! observed max), so they are exact to within a factor of two — plenty for
 //! "did p99 write latency double", which is what the bench gate asks.
 
-use spio_util::Json;
+use spio_util::{read_unpoisoned, write_unpoisoned, Json};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -39,10 +39,10 @@ impl Registry {
     /// Fetch-or-create under `name`. The read-lock fast path covers every
     /// call after the first registration of a name.
     fn resolve(&self, name: &'static str, make: impl FnOnce() -> Instrument) -> Instrument {
-        if let Some(i) = self.instruments.read().unwrap().get(name) {
+        if let Some(i) = read_unpoisoned(&self.instruments).get(name) {
             return i.clone();
         }
-        let mut w = self.instruments.write().unwrap();
+        let mut w = write_unpoisoned(&self.instruments);
         w.entry(name).or_insert_with(make).clone()
     }
 }
@@ -141,13 +141,13 @@ impl Metrics {
     fn get(&self, name: &str) -> Option<Instrument> {
         self.inner
             .as_ref()
-            .and_then(|r| r.instruments.read().unwrap().get(name).cloned())
+            .and_then(|r| read_unpoisoned(&r.instruments).get(name).cloned())
     }
 
     /// Registered metric names, sorted.
     pub fn names(&self) -> Vec<&'static str> {
         match &self.inner {
-            Some(r) => r.instruments.read().unwrap().keys().copied().collect(),
+            Some(r) => read_unpoisoned(&r.instruments).keys().copied().collect(),
             None => Vec::new(),
         }
     }
@@ -158,7 +158,7 @@ impl Metrics {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let Some(r) = &self.inner else { return out };
-        for (name, inst) in r.instruments.read().unwrap().iter() {
+        for (name, inst) in read_unpoisoned(&r.instruments).iter() {
             let obj = match inst {
                 Instrument::Counter(c) => Json::Obj(vec![
                     ("type".into(), Json::str("counter")),
@@ -197,9 +197,7 @@ impl Metrics {
         let Some(r) = &self.inner else {
             return Vec::new();
         };
-        r.instruments
-            .read()
-            .unwrap()
+        read_unpoisoned(&r.instruments)
             .iter()
             .map(|(name, inst)| match inst {
                 Instrument::Counter(c) => MetricRow {

@@ -286,7 +286,7 @@ impl JobReport {
                     p50_us: nearest(0.50),
                     p95_us: nearest(0.95),
                     p99_us: nearest(0.99),
-                    max_us: *lats.last().unwrap(),
+                    max_us: nearest(1.0),
                 }
             })
             .collect()

@@ -15,6 +15,7 @@
 //! table travels with the events inside a [`TraceSnapshot`].
 
 use crate::TraceEvent;
+use spio_util::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock, RwLock};
 
@@ -40,18 +41,18 @@ impl EventShards {
     /// recording, which keeps each shard single-writer.
     #[inline]
     pub(crate) fn push(&self, owner: usize, ev: TraceEvent) {
-        self.shards[owner % SHARD_COUNT].lock().unwrap().push(ev);
+        lock_unpoisoned(&self.shards[owner % SHARD_COUNT]).push(ev);
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.shards.iter().map(|s| lock_unpoisoned(s).len()).sum()
     }
 
     /// Merge all shards into one vec, leaving the shards intact.
     pub(crate) fn merged(&self) -> Vec<TraceEvent> {
         let mut out = Vec::with_capacity(self.len());
         for s in &self.shards {
-            out.extend(s.lock().unwrap().iter().cloned());
+            out.extend(lock_unpoisoned(s).iter().cloned());
         }
         out
     }
@@ -60,7 +61,7 @@ impl EventShards {
     pub(crate) fn drain(&self) -> Vec<TraceEvent> {
         let mut out = Vec::new();
         for s in &self.shards {
-            out.append(&mut s.lock().unwrap());
+            out.append(&mut lock_unpoisoned(s));
         }
         out
     }
@@ -88,10 +89,10 @@ impl FileTable {
     /// Id for `name`, interning it on first sight. The common case (name
     /// already interned) takes a read lock and performs no allocation.
     pub(crate) fn intern(&self, name: &str) -> u32 {
-        if let Some(&id) = self.inner.read().unwrap().map.get(name) {
+        if let Some(&id) = read_unpoisoned(&self.inner).map.get(name) {
             return id;
         }
-        let mut w = self.inner.write().unwrap();
+        let mut w = write_unpoisoned(&self.inner);
         if let Some(&id) = w.map.get(name) {
             return id;
         }
@@ -102,7 +103,7 @@ impl FileTable {
     }
 
     pub(crate) fn names(&self) -> Vec<String> {
-        self.inner.read().unwrap().names.clone()
+        read_unpoisoned(&self.inner).names.clone()
     }
 }
 
@@ -362,10 +363,7 @@ impl TraceSnapshot {
 /// most once, process-wide.
 pub(crate) fn intern_static(s: &str) -> &'static str {
     static CACHE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .unwrap();
+    let mut cache = lock_unpoisoned(CACHE.get_or_init(|| Mutex::new(HashSet::new())));
     if let Some(&interned) = cache.get(s) {
         return interned;
     }

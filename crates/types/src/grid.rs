@@ -61,8 +61,7 @@ impl GridDims {
                     continue;
                 }
                 let c = rem / b;
-                let dims = [a, b, c];
-                let score = dims.iter().max().unwrap() - dims.iter().min().unwrap();
+                let score = a.max(b).max(c) - a.min(b).min(c);
                 if score < best_score {
                     best_score = score;
                     best = GridDims::new(a, b, c);

@@ -11,6 +11,7 @@ pub mod aabb;
 pub mod domain;
 pub mod error;
 pub mod grid;
+pub mod le;
 pub mod particle;
 pub mod zorder;
 

@@ -7,6 +7,8 @@
 //! total of 124 bytes per particle. We reproduce that record exactly so the
 //! per-core data volumes match the paper (32 Ki particles ≈ 4 MB, 64 Ki ≈ 8 MB).
 
+use crate::error::SpioError;
+
 /// Serialized size of one [`Particle`] in bytes: 15 × f64 + 1 × f32.
 pub const PARTICLE_BYTES: usize = 15 * 8 + 4;
 
@@ -63,17 +65,10 @@ impl Particle {
         out.extend_from_slice(&self.ptype.to_le_bytes());
     }
 
-    /// Decode one particle from exactly [`PARTICLE_BYTES`] bytes.
-    ///
-    /// # Panics
-    /// Panics if `bytes.len() != PARTICLE_BYTES`.
-    pub fn decode(bytes: &[u8]) -> Self {
-        assert_eq!(bytes.len(), PARTICLE_BYTES, "bad particle record size");
-        let f64_at = |i: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-            f64::from_le_bytes(b)
-        };
+    /// Decode one particle record.
+    pub fn decode(bytes: &[u8; PARTICLE_BYTES]) -> Self {
+        let (words, tail) = bytes.as_chunks::<8>();
+        let f64_at = |i: usize| f64::from_le_bytes(words[i]);
         let mut position = [0.0; 3];
         for (i, p) in position.iter_mut().enumerate() {
             *p = f64_at(i);
@@ -84,11 +79,9 @@ impl Particle {
         }
         let density = f64_at(12);
         let volume = f64_at(13);
-        let mut idb = [0u8; 8];
-        idb.copy_from_slice(&bytes[112..120]);
-        let id = u64::from_le_bytes(idb);
+        let id = u64::from_le_bytes(words[14]);
         let mut tb = [0u8; 4];
-        tb.copy_from_slice(&bytes[120..124]);
+        tb.copy_from_slice(tail);
         let ptype = f32::from_le_bytes(tb);
         Particle {
             position,
@@ -110,20 +103,17 @@ pub fn encode_particles(particles: &[Particle]) -> Vec<u8> {
     out
 }
 
-/// Decode a contiguous byte buffer into particles.
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of [`PARTICLE_BYTES`].
-pub fn decode_particles(bytes: &[u8]) -> Vec<Particle> {
-    assert_eq!(
-        bytes.len() % PARTICLE_BYTES,
-        0,
-        "byte buffer is not a whole number of particle records"
-    );
-    bytes
-        .chunks_exact(PARTICLE_BYTES)
-        .map(Particle::decode)
-        .collect()
+/// Decode a contiguous byte buffer into particles; a buffer that is not a
+/// whole number of records is a [`SpioError::Format`].
+pub fn decode_particles(bytes: &[u8]) -> Result<Vec<Particle>, SpioError> {
+    let (records, tail) = bytes.as_chunks::<PARTICLE_BYTES>();
+    if !tail.is_empty() {
+        return Err(SpioError::Format(format!(
+            "{} bytes is not a whole number of {PARTICLE_BYTES}-byte particle records",
+            bytes.len()
+        )));
+    }
+    Ok(records.iter().map(Particle::decode).collect())
 }
 
 #[cfg(test)]
@@ -143,8 +133,8 @@ mod tests {
         let p = Particle::synthetic([0.1, -2.5, 3.75], 123456789);
         let mut buf = Vec::new();
         p.encode(&mut buf);
-        assert_eq!(buf.len(), PARTICLE_BYTES);
-        assert_eq!(Particle::decode(&buf), p);
+        let record: [u8; PARTICLE_BYTES] = buf.try_into().unwrap();
+        assert_eq!(Particle::decode(&record), p);
     }
 
     #[test]
@@ -154,7 +144,7 @@ mod tests {
             .collect();
         let bytes = encode_particles(&ps);
         assert_eq!(bytes.len(), 100 * PARTICLE_BYTES);
-        assert_eq!(decode_particles(&bytes), ps);
+        assert_eq!(decode_particles(&bytes).unwrap(), ps);
     }
 
     #[test]
@@ -166,14 +156,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad particle record size")]
-    fn decode_rejects_short_buffer() {
-        Particle::decode(&[0u8; 10]);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number of particle records")]
     fn decode_particles_rejects_ragged_buffer() {
-        decode_particles(&[0u8; PARTICLE_BYTES + 1]);
+        assert!(decode_particles(&[0u8; PARTICLE_BYTES + 1]).is_err());
     }
 }

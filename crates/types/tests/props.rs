@@ -38,7 +38,7 @@ fn particle_codec_roundtrip() {
         let ps: Vec<Particle> = (0..n).map(|_| arb_particle(g)).collect();
         let bytes = encode_particles(&ps);
         assert_eq!(bytes.len(), ps.len() * spio_types::PARTICLE_BYTES);
-        assert_eq!(decode_particles(&bytes), ps);
+        assert_eq!(decode_particles(&bytes).unwrap(), ps);
     });
 }
 

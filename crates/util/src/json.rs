@@ -214,7 +214,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 // are valid).
                 let rest =
                     std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8".to_string())?;
-                let c = rest.chars().next().unwrap();
+                let Some(c) = rest.chars().next() else {
+                    return Err("unterminated string".into());
+                };
                 out.push(c);
                 *pos += c.len_utf8();
             }

@@ -18,5 +18,7 @@ pub use check::{cases, cases_seeded, Gen};
 pub use crc::{crc32, Crc32};
 pub use json::Json;
 pub use rng::Rng;
-pub use sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
+pub use sync::{
+    lock_unpoisoned, read_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned, write_unpoisoned,
+};
 pub use tempdir::{tempdir, TempDir};

@@ -9,12 +9,25 @@
 //! right policy is to keep serving: take the data out of the poison
 //! wrapper and carry on.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    WaitTimeoutResult,
+};
 use std::time::Duration;
 
 /// Lock `m`, recovering the guard if a previous holder panicked.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-lock `l`, recovering the guard if a previous writer panicked.
+pub fn read_unpoisoned<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-lock `l`, recovering the guard if a previous holder panicked.
+pub fn write_unpoisoned<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// [`Condvar::wait`] that recovers the guard from a poisoned lock.

@@ -13,6 +13,11 @@ pub struct TempDir {
 
 impl TempDir {
     pub fn new() -> std::io::Result<TempDir> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a wall-clock seed only makes the directory name unlikely to \
+                      collide across processes; no timing depends on it"
+        )]
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.subsec_nanos())

@@ -99,20 +99,15 @@ impl CollDesc {
     }
 
     fn decode(data: &[u8]) -> Option<CollDesc> {
-        if data.len() != 32 {
-            return None;
+        match spio_types::le::u64_words(data).ok()?[..] {
+            [op, root, arity, bytes] => Some(CollDesc {
+                op,
+                root,
+                arity,
+                bytes,
+            }),
+            _ => None,
         }
-        let word = |i: usize| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&data[i * 8..(i + 1) * 8]);
-            u64::from_le_bytes(buf)
-        };
-        Some(CollDesc {
-            op: word(0),
-            root: word(1),
-            arity: word(2),
-            bytes: word(3),
-        })
     }
 
     /// The fields that must agree across ranks. Byte sizes are excluded:
@@ -317,16 +312,16 @@ impl<C: CollectiveComm> CheckedComm<C> {
         let tag = self.next_gate_tag();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        let mut descs: Vec<Option<CollDesc>> = vec![None; n];
-        descs[me] = Some(desc);
+        // Every slot but `me`'s is overwritten by the ring before use.
+        let mut descs = vec![desc; n];
         for s in 0..n - 1 {
             let outgoing_origin = (me + n - s) % n;
-            let block = descs[outgoing_origin].expect("ring invariant").encode();
+            let block = descs[outgoing_origin].encode();
             self.inner.isend(right, tag, block).wait();
             let incoming_origin = (me + n - s - 1) % n;
             match self.recv_diagnosed(left, tag, "collective gate") {
                 Ok(data) => match CollDesc::decode(&data) {
-                    Some(d) => descs[incoming_origin] = Some(d),
+                    Some(d) => descs[incoming_origin] = d,
                     None => self.fail(
                         "gate-protocol",
                         format!(
@@ -341,7 +336,6 @@ impl<C: CollectiveComm> CheckedComm<C> {
                 Err(e) => panic!("[spio-verify stall] rank {me}: collective gate stalled: {e}"),
             }
         }
-        let descs: Vec<CollDesc> = descs.into_iter().map(Option::unwrap).collect();
         let key = descs[me].agreement_key();
         if descs.iter().any(|d| d.agreement_key() != key) {
             // Every rank holds the same descriptor vector, so every rank

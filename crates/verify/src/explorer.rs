@@ -323,7 +323,12 @@ where
         .map(|rank| {
             let sched = Arc::clone(&sched);
             let f = Arc::clone(&f);
-            std::thread::Builder::new()
+            #[expect(
+                clippy::expect_used,
+                reason = "ranks already spawned would wait forever for the missing \
+                          rank's turn; returning an error needs their teardown first"
+            )]
+            let handle = std::thread::Builder::new()
                 .name(format!("explore-rank-{rank}"))
                 .stack_size(2 * 1024 * 1024)
                 .spawn(move || {
@@ -344,14 +349,20 @@ where
                     sched.finish(rank);
                     result
                 })
-                .expect("failed to spawn explorer rank thread")
+                .expect("failed to spawn explorer rank thread");
+            handle
         })
         .collect();
 
     let mut results: Vec<Option<T>> = (0..nprocs).map(|_| None).collect();
     let mut first_panic: Option<(usize, String)> = None;
     for (rank, handle) in handles.into_iter().enumerate() {
-        match handle.join().expect("explorer rank thread itself died") {
+        // Rank panics are caught inside the thread; a join error is a panic
+        // in the harness itself, re-raised here.
+        match handle
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e))
+        {
             Ok(v) => results[rank] = Some(v),
             Err(payload) => {
                 if first_panic.is_none() {
