@@ -16,10 +16,12 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Observability pipeline: run the traced fig6 workload, render its report,
-# export + schema-check the Chrome trace, and gate against the committed
-# perf baseline (see docs/OBSERVABILITY.md). Small workload — this is a
-# smoke test of the artifact pipeline, not a perf measurement, so only the
-# baseline comparison (on identical settings) is load-bearing.
+# export + schema-check the Chrome trace, then record a bench record and
+# gate a second run against it (see docs/OBSERVABILITY.md). Small workload
+# — this is a smoke test of the artifact pipeline and of the one bench
+# record/comparator on the fig6 workload, not a perf measurement; the
+# committed BENCH_*.json fingerprints are checked by the
+# committed_baselines test.
 OBS_DIR=$(mktemp -d)
 trap 'rm -rf "$OBS_DIR"' EXIT
 SPIO=target/release/spio
@@ -37,10 +39,12 @@ echo "ci: observability pipeline OK"
 
 # Read-serving pipeline (see docs/SERVING.md): generate an on-disk dataset,
 # smoke the LOD-answering query path and the serve-bench replay, check the
-# serving metrics surface in the rendered report, then run the read bench
-# and gate cold/warm latency with the same >20% + 20ms rule as the write
-# gate. Like above, the baseline comparison runs on identical settings
-# within this invocation, so it checks the gate machinery, not the machine.
+# serving metrics surface in the rendered report, then record the read
+# workload and gate a second run against it through the same bench record
+# and comparator as the write gate (>20% + 20 ms on cold/warm latency,
+# error on a fingerprint mismatch). Like above, the comparison runs on
+# identical settings within this invocation, so it checks the gate
+# machinery, not the machine.
 "$SPIO" gen "$OBS_DIR/ds" 8 2000 > /dev/null
 "$SPIO" query "$OBS_DIR/ds" 0 0 0 0.5 0.5 0.5 --lod 1 > /dev/null
 "$SPIO" serve-bench "$OBS_DIR/ds" --clients 2 --queries 8 \

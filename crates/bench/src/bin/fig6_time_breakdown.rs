@@ -74,11 +74,12 @@ fn main() -> Result<(), SpioError> {
         .iter()
         .map(|rb| rb.trace_disagreement())
         .fold(0.0f64, f64::max);
-    assert!(
-        worst <= 0.05,
-        "trace-derived breakdown drifted {:.1}% from WriteStats",
-        worst * 100.0
-    );
+    if worst > 0.05 {
+        return Err(SpioError::Config(format!(
+            "trace-derived breakdown drifted {:.1}% from WriteStats",
+            worst * 100.0
+        )));
+    }
     println!(
         "trace cross-check: phase spans agree with WriteStats within {} (<= 5% required)",
         pct(worst)

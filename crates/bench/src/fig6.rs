@@ -3,8 +3,13 @@
 //! both machines and both workloads.
 
 use hpcsim::{simulate_spio_write, MachineModel};
+use spio_comm::{Comm, TracedComm};
 use spio_core::plan::plan_write;
+use spio_core::writer::phases;
+use spio_core::{MemStorage, SpatialWriter, TracedStorage, WriteStats, WriterConfig};
+use spio_trace::{JobReport, Trace};
 use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError};
+use spio_workloads::uniform_patch_particles;
 
 /// One bar of Fig. 6.
 #[derive(Debug, Clone)]
@@ -68,61 +73,80 @@ impl RealBar {
     }
 }
 
+/// The partition factors the desk-scale Fig. 6 runs sweep, in record
+/// order, keeping those valid for the decomposition at `procs` ranks.
+pub fn fig6_factors(procs: usize) -> Vec<PartitionFactor> {
+    let dims = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), procs).dims;
+    [
+        PartitionFactor::new(1, 1, 1),
+        PartitionFactor::new(2, 2, 1),
+        PartitionFactor::new(2, 2, 2),
+        PartitionFactor::new(4, 2, 2),
+    ]
+    .into_iter()
+    .filter(|f| f.validate(dims).is_ok())
+    .collect()
+}
+
+/// Write the desk-scale Fig. 6 dataset on the thread runtime: `per_rank`
+/// uniform particles (seed 42) on each of `procs` ranks, aggregated by
+/// `factor` into fresh in-memory storage. Ranks exchange through
+/// [`TracedComm`], write through [`TracedStorage`] and record their writer
+/// phases, all into `trace`; pass [`Trace::off`] for an untraced job.
+/// Returns the storage and the max-across-ranks [`WriteStats`].
+pub fn write_job(
+    procs: usize,
+    per_rank: usize,
+    factor: PartitionFactor,
+    trace: &Trace,
+) -> Result<(MemStorage, WriteStats), SpioError> {
+    let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), procs);
+    let storage = MemStorage::new();
+    let (s, t) = (storage.clone(), trace.clone());
+    let stats = crate::run_ranks(procs, move |comm| {
+        let rank = comm.rank();
+        let comm = TracedComm::new(comm, t.clone());
+        let traced = TracedStorage::new(s.clone(), t.clone(), rank);
+        let ps = uniform_patch_particles(&decomp, rank, per_rank, 42);
+        SpatialWriter::new(decomp.clone(), WriterConfig::new(factor))
+            .with_trace(t.clone())
+            .write(&comm, &ps, &traced)
+    })?;
+    Ok((storage, WriteStats::merge_max(&stats)))
+}
+
 /// Supplementary desk-scale *real execution*: run the actual writer on the
 /// thread runtime at `procs` ranks and report measured per-phase wall
 /// times. Absolute values reflect the build machine, but the qualitative
 /// Fig. 6 trend — aggregation share grows with the partition factor — is
 /// observable in real message traffic, not just the model. Each job runs
-/// with a [`spio_trace::Trace`] attached, and the returned bars carry the
+/// with a [`Trace`] attached, and the returned bars carry the
 /// trace-derived split for cross-checking against `WriteStats`.
 pub fn time_breakdown_real(procs: usize, per_rank: usize) -> Result<Vec<RealBar>, SpioError> {
-    use spio_comm::Comm;
-    use spio_core::writer::phases;
-    use spio_core::{MemStorage, SpatialWriter, WriteStats, WriterConfig};
-    use spio_trace::{JobReport, Trace};
-    use spio_workloads::uniform_patch_particles;
-
-    let decomp = DomainDecomposition::for_procs(Aabb3::new([0.0; 3], [1.0; 3]), procs);
-    let mut out = Vec::new();
-    for factor in [
-        PartitionFactor::new(1, 1, 1),
-        PartitionFactor::new(2, 2, 1),
-        PartitionFactor::new(2, 2, 2),
-        PartitionFactor::new(4, 2, 2),
-    ] {
-        if factor.validate(decomp.dims).is_err() {
-            continue;
-        }
-        let storage = MemStorage::new();
-        let trace = Trace::collecting();
-        let t = trace.clone();
-        let d = decomp.clone();
-        let stats: Vec<WriteStats> = crate::run_ranks(procs, move |comm| {
-            let ps = uniform_patch_particles(&d, comm.rank(), per_rank, 42);
-            SpatialWriter::new(d.clone(), WriterConfig::new(factor))
-                .with_trace(t.clone())
-                .write(&comm, &ps, &storage.clone())
-        })?;
-        let merged = WriteStats::merge_max(&stats);
-        let agg = merged.aggregation_time.as_secs_f64();
-        let io = merged.file_io_time.as_secs_f64();
-        let report = JobReport::from_snapshot(procs, &trace.take_snapshot());
-        out.push(RealBar {
-            bar: Bar {
-                config: factor,
-                aggregation_fraction: if agg + io > 0.0 {
-                    agg / (agg + io)
-                } else {
-                    0.0
+    fig6_factors(procs)
+        .into_iter()
+        .map(|factor| {
+            let trace = Trace::collecting();
+            let (_, merged) = write_job(procs, per_rank, factor, &trace)?;
+            let agg = merged.aggregation_time.as_secs_f64();
+            let io = merged.file_io_time.as_secs_f64();
+            let report = JobReport::from_snapshot(procs, &trace.take_snapshot());
+            Ok(RealBar {
+                bar: Bar {
+                    config: factor,
+                    aggregation_fraction: if agg + io > 0.0 {
+                        agg / (agg + io)
+                    } else {
+                        0.0
+                    },
+                    aggregation_secs: agg,
+                    file_io_secs: io,
                 },
-                aggregation_secs: agg,
-                file_io_secs: io,
-            },
-            trace_aggregation_secs: report.phase_max(phases::AGGREGATION).as_secs_f64(),
-            trace_file_io_secs: report.phase_max(phases::FILE_IO).as_secs_f64(),
-        });
-    }
-    Ok(out)
+                trace_aggregation_secs: report.phase_max(phases::AGGREGATION).as_secs_f64(),
+                trace_file_io_secs: report.phase_max(phases::FILE_IO).as_secs_f64(),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

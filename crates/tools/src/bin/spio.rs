@@ -1,25 +1,14 @@
-//! The `spio` command-line tool: inspect, validate, query and convert
-//! spatially-aware particle datasets.
-//!
-//! ```text
-//! spio inspect  <dir>
-//! spio validate <dir>
-//! spio query    <dir> <x0> <y0> <z0> <x1> <y1> <z1> [--density <lo> <hi>]
-//! spio lod      <dir> [readers]
-//! spio report   <job-report.json>
-//! spio trace    <trace-snapshot.json> [--chrome <out.json>]
-//! spio check-trace <chrome-trace.json>
-//! spio bench    [--procs N] [--per-rank N] [--runs N] [--baseline F]
-//!               [--write F] [--trace-out F] [--report-out F] [--metrics-out F]
-//! spio convert-fpp <src-dir> <nwriters> <dst-dir> <PxXPyXPz> \
-//!                  <x0> <y0> <z0> <x1> <y1> <z1>
-//! ```
+//! The `spio` command-line tool: inspect, validate, query, serve,
+//! benchmark and convert spatially-aware particle datasets. Run it without
+//! arguments for the subcommands and their flags (the text is in
+//! [`usage`]).
 
-use spio_bench::read_bench::{self, ReadBenchConfig, ReadBenchRecord};
+use spio_bench::read_bench::{self, ReadBenchConfig};
 use spio_bench::regression::{self, BenchConfig, BenchRecord};
 use spio_tools::open_dir;
 use spio_trace::{chrome_trace, validate_chrome_trace, Timeline, TraceSnapshot};
 use spio_types::{Aabb3, PartitionFactor, SpioError};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -64,38 +53,46 @@ fn trace_cmd(file: &str, chrome_out: Option<&str>) -> Result<(), SpioError> {
     Ok(())
 }
 
-/// `spio bench`: run the desk-scale Fig. 6 workload under full tracing,
-/// optionally writing a perf record / trace artifacts, and gate against a
-/// baseline record (exit 1 on regression).
+/// `spio bench [--read]`: run the desk-scale Fig. 6 write workload under
+/// full tracing or, with `--read`, the read-serving workload (cold vs warm
+/// hot-spot query + multi-client replay); optionally write the record and
+/// trace artifacts, and gate against a baseline record (exit 1 on
+/// regression).
 fn bench_cmd(rest: &[String]) -> Result<(), SpioError> {
-    let mut cfg = BenchConfig::default();
+    let read = rest.first().is_some_and(|f| f == "--read");
+    // Same shape for both workloads; only the default run count differs
+    // (3 for reads, 5 for the write gate).
+    let mut cfg = ReadBenchConfig::default();
+    if !read {
+        cfg.bench = BenchConfig::default();
+    }
     let mut baseline = None;
     let mut write_out = None;
     let mut trace_out = None;
     let mut report_out = None;
     let mut metrics_out = None;
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        let val = rest
-            .get(i + 1)
+    for pair in rest[usize::from(read)..].chunks(2) {
+        let flag = pair[0].as_str();
+        let val = pair
+            .get(1)
             .ok_or_else(|| config_err(format!("{flag} needs a value")))?;
         let parse_n = || {
             val.parse::<usize>()
                 .map_err(|_| config_err(format!("{flag}: '{val}' is not a number")))
         };
-        match flag {
-            "--procs" => cfg.procs = parse_n()?.max(1),
-            "--per-rank" => cfg.per_rank = parse_n()?,
-            "--runs" => cfg.runs = parse_n()?.max(1),
-            "--baseline" => baseline = Some(val.clone()),
-            "--write" => write_out = Some(val.clone()),
-            "--trace-out" => trace_out = Some(val.clone()),
-            "--report-out" => report_out = Some(val.clone()),
-            "--metrics-out" => metrics_out = Some(val.clone()),
+        match (flag, read) {
+            ("--procs", _) => cfg.bench.procs = parse_n()?.max(1),
+            ("--per-rank", _) => cfg.bench.per_rank = parse_n()?,
+            ("--runs", _) => cfg.bench.runs = parse_n()?.max(1),
+            ("--clients", true) => cfg.clients = parse_n()?.max(1),
+            ("--queries", true) => cfg.queries_per_client = parse_n()?,
+            ("--baseline", _) => baseline = Some(val.clone()),
+            ("--write", _) => write_out = Some(val.clone()),
+            ("--trace-out", false) => trace_out = Some(val.clone()),
+            ("--report-out", _) => report_out = Some(val.clone()),
+            ("--metrics-out", _) => metrics_out = Some(val.clone()),
             _ => return Err(config_err(format!("unknown flag {flag}"))),
         }
-        i += 2;
     }
     // Load the baseline before the (slow) workload so a bad path or
     // malformed record fails fast.
@@ -103,18 +100,53 @@ fn bench_cmd(rest: &[String]) -> Result<(), SpioError> {
         .as_ref()
         .map(|f| BenchRecord::from_json(&std::fs::read_to_string(f)?).map_err(SpioError::Format))
         .transpose()?;
-    println!(
-        "running fig6 workload: {} ranks x {} particles, {} run(s) per config",
-        cfg.procs, cfg.per_rank, cfg.runs
-    );
-    let run = regression::run_fig6(&cfg)?;
-    for c in &run.record.configs {
-        let times: Vec<String> = c
-            .phases
-            .iter()
-            .map(|p| format!("{}={}µs", p.phase, p.micros))
-            .collect();
-        println!("  {}: {}", c.config, times.join(" "));
+    let workload = if read { "read" } else { "fig6" };
+    if let Some(b) = base.as_ref().filter(|b| b.workload != workload) {
+        return Err(config_err(format!(
+            "baseline holds a '{}' record, not '{workload}'",
+            b.workload
+        )));
+    }
+    let (procs, per_rank, runs) = (cfg.bench.procs, cfg.bench.per_rank, cfg.bench.runs);
+    let run = if read {
+        println!(
+            "running read workload: {procs} ranks x {per_rank} particles, {} clients x {} \
+             queries, {runs} run(s)",
+            cfg.clients, cfg.queries_per_client
+        );
+        read_bench::run_read_bench(&cfg)?
+    } else {
+        println!(
+            "running fig6 workload: {procs} ranks x {per_rank} particles, {runs} run(s) per config"
+        );
+        regression::run_fig6(&cfg.bench)?
+    };
+    // One line per partition factor (keys "<factor>/<phase>"), one for
+    // the bare keys.
+    let mut lines: BTreeMap<&str, Vec<String>> = BTreeMap::new();
+    for (key, us) in &run.record.time_us {
+        let (group, name) = key.split_once('/').unwrap_or(("", key));
+        lines
+            .entry(group)
+            .or_default()
+            .push(format!("{name}={us}µs"));
+    }
+    for (group, times) in lines {
+        let label = if group.is_empty() {
+            String::new()
+        } else {
+            format!("{group}: ")
+        };
+        println!("  {label}{}", times.join(" "));
+    }
+    if let Some(r) = &run.replay {
+        let time = |k: &str| run.record.time_us.get(k).copied().unwrap_or_default();
+        let lookups = (r.cache_hits + r.cache_misses).max(1);
+        println!(
+            "  cold/warm speedup {:.1}x, replay hit rate {:.0}%",
+            time("cold_box") as f64 / time("warm_box").max(1) as f64,
+            r.cache_hits as f64 * 100.0 / lookups as f64
+        );
     }
     if let Some(out) = &write_out {
         std::fs::write(out, run.record.to_json())?;
@@ -132,95 +164,18 @@ fn bench_cmd(rest: &[String]) -> Result<(), SpioError> {
         std::fs::write(out, &run.metrics_jsonl)?;
         println!("wrote metrics {out}");
     }
-    if let Some(base) = &base {
-        let base_file = baseline.as_deref().unwrap_or_default();
+    if let (Some(base), Some(base_file)) = (&base, &baseline) {
+        let gate = if read {
+            "read bench gate"
+        } else {
+            "bench gate"
+        };
         let regressions = regression::compare(base, &run.record, regression::DEFAULT_THRESHOLD)
             .map_err(SpioError::Config)?;
         if regressions.is_empty() {
-            println!("bench gate PASS vs {base_file}");
+            println!("{gate} PASS vs {base_file}");
         } else {
-            eprintln!("bench gate FAIL vs {base_file}:");
-            for r in &regressions {
-                eprintln!("  REGRESSION {r}");
-            }
-            std::process::exit(1);
-        }
-    }
-    Ok(())
-}
-
-/// `spio bench --read`: run the read-serving benchmark (cold vs warm
-/// hot-spot query + multi-client replay), optionally writing a record and
-/// gating against a baseline (exit 1 on regression).
-fn read_bench_cmd(rest: &[String]) -> Result<(), SpioError> {
-    let mut cfg = ReadBenchConfig::default();
-    let mut baseline = None;
-    let mut write_out = None;
-    let mut report_out = None;
-    let mut metrics_out = None;
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        let val = rest
-            .get(i + 1)
-            .ok_or_else(|| config_err(format!("{flag} needs a value")))?;
-        let parse_n = || {
-            val.parse::<usize>()
-                .map_err(|_| config_err(format!("{flag}: '{val}' is not a number")))
-        };
-        match flag {
-            "--procs" => cfg.procs = parse_n()?.max(1),
-            "--per-rank" => cfg.per_rank = parse_n()?,
-            "--clients" => cfg.clients = parse_n()?.max(1),
-            "--queries" => cfg.queries_per_client = parse_n()?,
-            "--runs" => cfg.runs = parse_n()?.max(1),
-            "--baseline" => baseline = Some(val.clone()),
-            "--write" => write_out = Some(val.clone()),
-            "--report-out" => report_out = Some(val.clone()),
-            "--metrics-out" => metrics_out = Some(val.clone()),
-            _ => return Err(config_err(format!("unknown flag {flag}"))),
-        }
-        i += 2;
-    }
-    let base = baseline
-        .as_ref()
-        .map(|f| {
-            ReadBenchRecord::from_json(&std::fs::read_to_string(f)?).map_err(SpioError::Format)
-        })
-        .transpose()?;
-    println!(
-        "running read workload: {} ranks x {} particles, {} clients x {} queries, {} run(s)",
-        cfg.procs, cfg.per_rank, cfg.clients, cfg.queries_per_client, cfg.runs
-    );
-    let run = read_bench::run_read_bench(&cfg)?;
-    println!(
-        "  cold_box={}µs warm_box={}µs (speedup {:.1}x), replay hit rate {:.0}%",
-        run.record.cold_box_us,
-        run.record.warm_box_us,
-        run.record.speedup(),
-        run.record.hit_rate() * 100.0
-    );
-    if let Some(out) = &write_out {
-        std::fs::write(out, run.record.to_json())?;
-        println!("wrote baseline {out}");
-    }
-    if let Some(out) = &report_out {
-        std::fs::write(out, run.report.to_json())?;
-        println!("wrote job report {out}");
-    }
-    if let Some(out) = &metrics_out {
-        std::fs::write(out, &run.metrics_jsonl)?;
-        println!("wrote metrics {out}");
-    }
-    if let Some(base) = &base {
-        let base_file = baseline.as_deref().unwrap_or_default();
-        let regressions =
-            read_bench::compare_read(base, &run.record, regression::DEFAULT_THRESHOLD)
-                .map_err(SpioError::Config)?;
-        if regressions.is_empty() {
-            println!("read bench gate PASS vs {base_file}");
-        } else {
-            eprintln!("read bench gate FAIL vs {base_file}:");
+            eprintln!("{gate} FAIL vs {base_file}:");
             for r in &regressions {
                 eprintln!("  REGRESSION {r}");
             }
@@ -341,9 +296,6 @@ fn main() -> ExitCode {
             .map_err(SpioError::from)
             .and_then(|json| validate_chrome_trace(&json).map_err(SpioError::Format))
             .map(|()| println!("chrome trace OK")),
-        ("bench", rest) if rest.first().map(String::as_str) == Some("--read") => {
-            read_bench_cmd(&rest[1..])
-        }
         ("bench", rest) => bench_cmd(rest),
         ("serve-bench", [dir, rest @ ..]) => serve_bench_cmd(dir, rest),
         ("verify-comm", rest) => {
