@@ -122,3 +122,27 @@ fn different_seeds_produce_different_layouts_same_content() {
     let name = ra.meta.entries[0].file_name();
     assert_ne!(a.read_file(&name).unwrap(), b.read_file(&name).unwrap());
 }
+
+#[test]
+fn aligned_and_general_modes_write_identical_bytes() {
+    // On patch-aligned particles the general binning path must route every
+    // particle exactly where the aligned fast path sends it, so the two
+    // modes write the same dataset.
+    for factor in [
+        (1, 1, 1),
+        (2, 1, 1),
+        (1, 2, 1),
+        (2, 2, 1),
+        (4, 2, 1),
+        (4, 1, 1),
+    ] {
+        for adaptive in [false, true] {
+            for order in [LodOrder::Random, LodOrder::Stratified] {
+                let aligned = write_once(factor, WriteMode::Aligned, adaptive, order);
+                let general = write_once(factor, WriteMode::General, adaptive, order);
+                let label = format!("{factor:?} adaptive={adaptive} {order:?}");
+                assert_identical(&aligned, &general, &label);
+            }
+        }
+    }
+}
