@@ -5,7 +5,7 @@
 //! the same operation on the build machine, at the paper's size and at the
 //! aggregated-buffer sizes larger partition factors produce.
 
-use spio_core::shuffle::{lod_shuffle, lod_shuffle_parallel, partition_seed, shuffle_permutation};
+use spio_core::shuffle::{lod_shuffle, partition_seed, shuffle_permutation};
 use spio_types::Particle;
 use spio_util::bench::{bench, black_box};
 
@@ -23,11 +23,6 @@ fn main() {
         bench(&format!("lod_shuffle/{n}"), || {
             let mut buf = base.clone();
             lod_shuffle(&mut buf, black_box(42));
-            black_box(buf.len());
-        });
-        bench(&format!("lod_shuffle_parallel/{n}"), || {
-            let mut buf = base.clone();
-            lod_shuffle_parallel(&mut buf, black_box(42));
             black_box(buf.len());
         });
     }

@@ -42,62 +42,6 @@ pub fn lod_shuffle(particles: &mut [Particle], seed: u64) {
     rng.shuffle(particles);
 }
 
-/// Slot key for [`lod_shuffle_parallel`]: splitmix64 avalanche of
-/// `(seed, index)`.
-fn slot_key(seed: u64, i: usize) -> u64 {
-    let mut z = seed ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Parallel variant of [`lod_shuffle`]: assigns each slot a deterministic
-/// 64-bit key derived from `(seed, index)` and sorts by it. Produces a
-/// uniform permutation (keys collide with negligible probability; ties
-/// break by original index, keeping the result deterministic) — the
-/// parallelization §3.4 leaves as future work. Key derivation runs on
-/// scoped threads; the sort itself is the comparison-dominated tail.
-///
-/// Note: for a given seed this is a *different* permutation than the
-/// serial Fisher–Yates; files record which ordering produced them via the
-/// header flags.
-pub fn lod_shuffle_parallel(particles: &mut [Particle], seed: u64) {
-    let n = particles.len();
-    if n < 2 {
-        return;
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    let chunk = n.div_ceil(threads);
-    let mut keyed: Vec<(u64, u32, Particle)> = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = particles
-            .chunks(chunk)
-            .enumerate()
-            .map(|(c, slice)| {
-                s.spawn(move || {
-                    let base = c * chunk;
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(j, p)| (slot_key(seed, base + j), (base + j) as u32, *p))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // Re-raise a key thread's panic on the calling thread.
-            keyed.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-    keyed.sort_unstable_by_key(|&(k, i, _)| (k, i));
-    for (slot, (_, _, p)) in particles.iter_mut().zip(keyed) {
-        *slot = p;
-    }
-}
-
 /// Stratified LOD ordering: bin particles into a `cells³` grid over
 /// `bounds`, shuffle each cell's list (seeded per cell), then emit one
 /// particle per occupied cell per round. Any prefix therefore samples all
@@ -136,8 +80,8 @@ pub fn lod_stratify(particles: &mut [Particle], bounds: &Aabb3, seed: u64) {
 }
 
 /// Recompute the permutation applied by [`lod_shuffle`] for a buffer of
-/// `len` elements: `perm[new_index] = old_index`. Verification tooling uses
-/// this to check a file's layout against its header seed.
+/// `len` elements: `perm[new_index] = old_index`, so a file's layout can be
+/// undone from its header seed.
 pub fn shuffle_permutation(len: usize, seed: u64) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..len).collect();
     let mut rng = Rng::seed_from_u64(seed);
@@ -216,32 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shuffle_is_a_deterministic_permutation() {
-        let original = particles(10_000);
-        let mut a = original.clone();
-        let mut b = original.clone();
-        lod_shuffle_parallel(&mut a, 9);
-        lod_shuffle_parallel(&mut b, 9);
-        assert_eq!(a, b, "deterministic in seed");
-        let mut ids: Vec<u64> = a.iter().map(|p| p.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..10_000).collect::<Vec<u64>>(), "permutation");
-        assert_ne!(a, original);
-        let mut c = original.clone();
-        lod_shuffle_parallel(&mut c, 10);
-        assert_ne!(a, c, "different seed, different order");
-    }
-
-    #[test]
-    fn parallel_prefix_is_representative() {
-        let mut ps = particles(4096);
-        lod_shuffle_parallel(&mut ps, 3);
-        let xs: Vec<f64> = ps[..256].iter().map(|p| p.position[0]).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((1500.0..2600.0).contains(&mean), "prefix mean {mean}");
-    }
-
-    #[test]
     fn stratified_is_a_permutation_with_early_coverage() {
         // Particles clustered: 8 groups along x.
         let n = 4096;
@@ -287,11 +205,9 @@ mod tests {
     fn empty_and_single_are_noops() {
         let mut none: Vec<Particle> = Vec::new();
         lod_shuffle(&mut none, 1);
-        lod_shuffle_parallel(&mut none, 1);
         assert!(none.is_empty());
         let mut one = particles(1);
         lod_shuffle(&mut one, 1);
-        lod_shuffle_parallel(&mut one, 1);
         lod_stratify(&mut one, &Aabb3::new([0.0; 3], [1.0; 3]), 1);
         assert_eq!(one[0].id, 0);
     }

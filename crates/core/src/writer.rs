@@ -4,9 +4,9 @@
 //!
 //! 1. set up the aggregation-grid (§3.1) — static, or adaptive (§6);
 //! 2. select aggregators uniformly in rank space (§3.2);
-//! 3. exchange metadata — particle counts (and, for the adaptive and
-//!    general paths, spatial extents) so aggregators can size their
-//!    receive buffers (§3.3);
+//! 3. exchange metadata — particle counts so aggregators can size their
+//!    receive buffers (§3.3); the adaptive path exchanges extents up front
+//!    (§6) and the general path exchanges declared particle boxes;
 //! 4. allocate aggregation buffers;
 //! 5. exchange particles with non-blocking point-to-point messages (§3.3);
 //! 6. reshuffle each aggregated buffer into level-of-detail order (§3.4);
@@ -15,10 +15,17 @@
 //!    rank 0 (§3.5), then broadcast the outcome so no rank reports success
 //!    for a dataset whose metadata never landed.
 //!
-//! Sends follow the MPI structure the paper assumes: each exchange posts
+//! Steps 3-5 are one exchange for both [`WriteMode`]s; the mode only
+//! decides where a rank's particles go and whom an aggregator hears from.
+//! Sends follow the MPI structure the paper assumes: the exchange posts
 //! *all* of its non-blocking sends first and only then waits on the batch,
 //! so a real-MPI port gets genuine send/receive overlap instead of
 //! serialized rendezvous.
+//!
+//! A rank that fails locally (a stray particle, a failed data-file write)
+//! still takes part in every send and collective its peers expect, and
+//! carries its error into the step-8 gather, so every rank returns the
+//! failure instead of waiting on the missing rank.
 //!
 //! When a [`spio_trace::Trace`] is attached ([`SpatialWriter::with_trace`]),
 //! the writer records one phase span per step from the *same* clock
@@ -27,7 +34,7 @@
 
 use crate::adaptive::AdaptiveGrid;
 use crate::grid::AggregationGrid;
-use crate::shuffle::{lod_shuffle, lod_shuffle_parallel, lod_stratify, partition_seed, LodOrder};
+use crate::shuffle::{lod_shuffle, lod_stratify, partition_seed, LodOrder};
 use crate::stats::WriteStats;
 use crate::storage::Storage;
 use spio_comm::{Comm, Tag};
@@ -37,6 +44,7 @@ use spio_format::{data_file_name, FileEntry, LodParams, SpatialMetadata, META_FI
 use spio_trace::Trace;
 use spio_types::le::{aabb_at, f64_at, u64_at};
 use spio_types::{Aabb3, DomainDecomposition, Particle, Rank, SpioError};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Data-file header flag bits recording which LOD ordering produced the
@@ -45,8 +53,6 @@ use std::time::Instant;
 pub mod flags {
     /// Payload is in stratified (round-robin-over-cells) order.
     pub const STRATIFIED_ORDER: u32 = 1;
-    /// Payload was permuted by the keyed parallel shuffle, not Fisher–Yates.
-    pub const KEYED_SHUFFLE: u32 = 2;
 }
 
 /// Phase-span names the writer records into an attached [`Trace`]. One
@@ -100,9 +106,6 @@ pub struct WriterConfig {
     pub balanced: bool,
     /// LOD reordering heuristic (§3.4: random or stratified).
     pub lod_order: LodOrder,
-    /// Use the threaded keyed shuffle instead of serial Fisher–Yates
-    /// (only meaningful for [`LodOrder::Random`]).
-    pub parallel_shuffle: bool,
 }
 
 impl WriterConfig {
@@ -117,7 +120,6 @@ impl WriterConfig {
             adaptive: false,
             balanced: false,
             lod_order: LodOrder::Random,
-            parallel_shuffle: false,
         }
     }
 
@@ -155,11 +157,6 @@ impl WriterConfig {
         self.lod_order = order;
         self
     }
-
-    pub fn with_parallel_shuffle(mut self, parallel: bool) -> Self {
-        self.parallel_shuffle = parallel;
-        self
-    }
 }
 
 /// The spatially-aware parallel writer. One instance is shared (by clone)
@@ -186,10 +183,6 @@ impl SpatialWriter {
     pub fn with_trace(mut self, trace: Trace) -> Self {
         self.trace = trace;
         self
-    }
-
-    pub fn config(&self) -> &WriterConfig {
-        &self.config
     }
 
     /// Collective write: every rank passes its local particles; data files
@@ -221,105 +214,102 @@ impl SpatialWriter {
 
         // ---- Steps 3-5: metadata + particle exchange. ----
         let t0 = Instant::now();
-        let aggregated = match self.config.mode {
-            WriteMode::Aligned => {
-                self.exchange_aligned(comm, &grid, particles, global_counts.as_deref())?
-            }
-            WriteMode::General => self.exchange_general(comm, &grid, particles)?,
-        };
+        let aggregated = self.exchange(comm, &grid, particles, global_counts.as_deref());
         stats.aggregation_time = t0.elapsed();
         self.trace
             .phase(me, phases::AGGREGATION, stats.aggregation_time);
 
         // ---- Steps 6-7: LOD shuffle + data file write. ----
-        let my_partition = grid.aggregated_partition(me);
-        let mut my_entry: Option<(usize, FileEntry, AttrRange)> = None;
-        if let Some(part_idx) = my_partition {
-            let mut buffer = aggregated.ok_or_else(|| {
-                SpioError::Comm(format!("aggregator rank {me} received no particle buffer"))
-            })?;
-            stats.particles_aggregated = buffer.len() as u64;
-
-            let t0 = Instant::now();
-            let seed = partition_seed(self.config.seed, part_idx);
-            let bounds = grid.partitions[part_idx].bounds;
-            let mut file_flags = 0u32;
-            match (self.config.lod_order, self.config.parallel_shuffle) {
-                (LodOrder::Stratified, _) => {
-                    lod_stratify(&mut buffer, &bounds, seed);
-                    file_flags |= flags::STRATIFIED_ORDER;
-                }
-                (LodOrder::Random, true) => {
-                    lod_shuffle_parallel(&mut buffer, seed);
-                    file_flags |= flags::KEYED_SHUFFLE;
-                }
-                (LodOrder::Random, false) => lod_shuffle(&mut buffer, seed),
-            }
-            stats.shuffle_time = t0.elapsed();
-            self.trace.phase(me, phases::SHUFFLE, stats.shuffle_time);
-
-            // §3.5 extension: record the scalar ranges of this file so
-            // readers can prune attribute range-queries.
-            let mut range = AttrRange::empty();
-            for p in &buffer {
-                range.include(p.density, p.volume);
-            }
-
-            let t0 = Instant::now();
-            let mut header = DataFileHeader::new(buffer.len() as u64, bounds, seed);
-            // OR, don't assign: `new` already set the format-owned bits
-            // (CHECKSUMS); the writer only owns the LOD-order bits.
-            header.flags |= file_flags;
-            let bytes = encode_data_file(&header, &buffer);
-            storage.write_file(&data_file_name(me), &bytes)?;
-            stats.bytes_written = bytes.len() as u64;
-            stats.files_written = 1;
-            stats.file_io_time = t0.elapsed();
-            self.trace.phase(me, phases::FILE_IO, stats.file_io_time);
-
-            my_entry = Some((
-                part_idx,
-                FileEntry {
-                    agg_rank: me as u64,
-                    particle_count: buffer.len() as u64,
-                    bounds,
-                },
-                range,
-            ));
-        }
+        let my_entry =
+            aggregated.and_then(|agg| self.write_partition(me, &grid, agg, storage, &mut stats));
 
         // ---- Step 8: spatial metadata (gathered on rank 0, §3.5). ----
         let t0 = Instant::now();
-        let meta_result = self.write_metadata(comm, &grid, &my_entry, storage);
+        let meta_result = self.write_metadata(comm, &grid, my_entry, storage);
         stats.meta_time = t0.elapsed();
         self.trace.phase(me, phases::META, stats.meta_time);
         meta_result?;
         Ok(stats)
     }
 
-    /// Gather per-file entries, write the metadata file on rank 0, and
-    /// broadcast the outcome. Every rank returns `Err` when rank 0's
-    /// validation or write fails — a dataset without its metadata file is
-    /// unreadable, so no rank may report the write as successful.
+    /// Steps 6-7 on an aggregator (nothing elsewhere): LOD-order the
+    /// aggregated buffer, write the partition's data file, and return its
+    /// metadata contribution.
+    fn write_partition<S: Storage>(
+        &self,
+        me: Rank,
+        grid: &AggregationGrid,
+        aggregated: Option<(usize, Vec<Particle>)>,
+        storage: &S,
+        stats: &mut WriteStats,
+    ) -> Result<Option<Contribution>, SpioError> {
+        let Some((part_idx, mut buffer)) = aggregated else {
+            return Ok(None);
+        };
+        stats.particles_aggregated = buffer.len() as u64;
+
+        let t0 = Instant::now();
+        let seed = partition_seed(self.config.seed, part_idx);
+        let bounds = grid.partitions[part_idx].bounds;
+        let mut file_flags = 0u32;
+        match self.config.lod_order {
+            LodOrder::Stratified => {
+                lod_stratify(&mut buffer, &bounds, seed);
+                file_flags |= flags::STRATIFIED_ORDER;
+            }
+            LodOrder::Random => lod_shuffle(&mut buffer, seed),
+        }
+        stats.shuffle_time = t0.elapsed();
+        self.trace.phase(me, phases::SHUFFLE, stats.shuffle_time);
+
+        // §3.5 extension: record the scalar ranges of this file so
+        // readers can prune attribute range-queries.
+        let mut range = AttrRange::empty();
+        for p in &buffer {
+            range.include(p.density, p.volume);
+        }
+
+        let t0 = Instant::now();
+        let mut header = DataFileHeader::new(buffer.len() as u64, bounds, seed);
+        // OR, don't assign: `new` already set the format-owned bits
+        // (CHECKSUMS); the writer only owns the LOD-order bits.
+        header.flags |= file_flags;
+        let bytes = encode_data_file(&header, &buffer);
+        storage.write_file(&data_file_name(me), &bytes)?;
+        stats.bytes_written = bytes.len() as u64;
+        stats.files_written = 1;
+        stats.file_io_time = t0.elapsed();
+        self.trace.phase(me, phases::FILE_IO, stats.file_io_time);
+
+        Ok(Some((
+            part_idx,
+            FileEntry {
+                agg_rank: me as u64,
+                particle_count: buffer.len() as u64,
+                bounds,
+            },
+            range,
+        )))
+    }
+
+    /// Gather per-file entries (or local failures), write the metadata file
+    /// on rank 0, and broadcast the outcome. Every rank returns `Err` when
+    /// any rank failed locally or rank 0's validation or write fails — a
+    /// dataset without its metadata file is unreadable, so no rank may
+    /// report the write as successful. A failed rank returns its own error.
     fn write_metadata<C: Comm, S: Storage>(
         &self,
         comm: &C,
         grid: &AggregationGrid,
-        my_entry: &Option<(usize, FileEntry, AttrRange)>,
+        my_entry: Result<Option<Contribution>, SpioError>,
         storage: &S,
     ) -> Result<(), SpioError> {
-        let me = comm.rank();
-        let mine = encode_meta_contribution(my_entry);
-        let gathered = comm.allgather(&mine);
-        if me == 0 {
+        let gathered = comm.allgather(&encode_meta_contribution(&my_entry));
+        let outcome = if comm.rank() == 0 {
             let outcome = self.assemble_and_write_meta(grid, &gathered, storage);
             let payload = match &outcome {
                 Ok(()) => vec![0u8],
-                Err(e) => {
-                    let mut p = vec![1u8];
-                    p.extend_from_slice(e.to_string().as_bytes());
-                    p
-                }
+                Err(e) => [[1u8].as_slice(), e.to_string().as_bytes()].concat(),
             };
             comm.broadcast(0, payload);
             outcome
@@ -328,28 +318,32 @@ impl SpatialWriter {
             match payload.split_first() {
                 Some((0, _)) => Ok(()),
                 Some((_, msg)) => Err(SpioError::Comm(format!(
-                    "metadata write failed on rank 0: {}",
+                    "dataset write failed: {}",
                     String::from_utf8_lossy(msg)
                 ))),
                 None => Err(SpioError::Comm(
                     "empty metadata-outcome broadcast".to_string(),
                 )),
             }
-        }
+        };
+        my_entry.and(outcome)
     }
 
     /// Rank 0 only: validate the gathered contributions and write the
-    /// spatial metadata file.
+    /// spatial metadata file. Writes nothing if any rank reported a
+    /// failure.
     fn assemble_and_write_meta<S: Storage>(
         &self,
         grid: &AggregationGrid,
         gathered: &[Vec<u8>],
         storage: &S,
     ) -> Result<(), SpioError> {
-        let mut entries: Vec<(usize, FileEntry, AttrRange)> = gathered
-            .iter()
-            .filter_map(|b| decode_meta_contribution(b))
-            .collect();
+        let mut entries: Vec<Contribution> = Vec::new();
+        for (rank, bytes) in gathered.iter().enumerate() {
+            let entry = decode_meta_contribution(bytes)
+                .map_err(|msg| SpioError::Comm(format!("rank {rank} failed: {msg}")))?;
+            entries.extend(entry);
+        }
         entries.sort_by_key(|(part_idx, _, _)| *part_idx);
         if entries.len() != grid.partitions.len() {
             return Err(SpioError::Comm(format!(
@@ -387,12 +381,7 @@ impl SpatialWriter {
             let counts_bytes = comm.allgather(&(particles.len() as u64).to_le_bytes());
             let counts: Vec<u64> = counts_bytes
                 .iter()
-                .map(|b| {
-                    b.as_slice()
-                        .try_into()
-                        .map(u64::from_le_bytes)
-                        .map_err(|_| SpioError::Comm("bad count in extent exchange".into()))
-                })
+                .map(|b| decode_count(b))
                 .collect::<Result<_, _>>()?;
             let grid = if self.config.balanced {
                 AdaptiveGrid::build_balanced(&self.decomp, self.config.factor, &counts)?
@@ -408,220 +397,186 @@ impl SpatialWriter {
         }
     }
 
-    /// Aligned exchange: every rank sends its whole buffer to the single
-    /// aggregator owning its patch's partition. Returns the aggregation
-    /// buffer if this rank is an aggregator.
+    /// Steps 3-5, the §3.3 two-phase exchange, for both [`WriteMode`]s. The
+    /// mode decides only the routes (where my particles go) and the senders
+    /// (whom my partition hears from). Then every count and data send is
+    /// posted, an aggregator receives the counts, allocates, and receives
+    /// the data in sender order, and the sends are waited on. Returns
+    /// `(partition index, aggregated buffer)` on aggregators.
     ///
-    /// With `global_counts` present (adaptive mode), the §6 extent/count
-    /// all-gather already served as the metadata exchange, so per-rank
-    /// count messages are skipped and empty ranks do not participate.
-    fn exchange_aligned<C: Comm>(
+    /// A local fault is returned only after the exchange has run, so no
+    /// peer waits on a message this rank never sent.
+    fn exchange<C: Comm>(
         &self,
         comm: &C,
         grid: &AggregationGrid,
         particles: &[Particle],
         global_counts: Option<&[u64]>,
-    ) -> Result<Option<Vec<Particle>>, SpioError> {
+    ) -> Result<Option<(usize, Vec<Particle>)>, SpioError> {
         let me = comm.rank();
-        let patch = self.decomp.patch_bounds(me);
-        if let Some(bad) = particles.iter().find(|p| !patch.contains(p.position)) {
-            return Err(SpioError::Config(format!(
-                "rank {me}: particle {} at {:?} outside its patch {:?} — use WriteMode::General",
-                bad.id, bad.position, patch
-            )));
-        }
+        let my_partition = grid.aggregated_partition(me);
+        let (routes, senders, known_counts, fault) = match self.config.mode {
+            WriteMode::Aligned => {
+                // §3.1's fast path: the whole slice goes to my partition's
+                // aggregator, with no binning and no copy. With
+                // `global_counts` (adaptive mode), the §6 extent/count
+                // all-gather already served as the metadata exchange, so
+                // count messages are skipped and empty ranks sit out.
+                let route = grid
+                    .partition_of_rank(me)
+                    .map(|p| (grid.partitions[p].agg_rank, Cow::Borrowed(particles)));
+                let patch = self.decomp.patch_bounds(me);
+                let fault = match particles.iter().find(|p| !patch.contains(p.position)) {
+                    Some(bad) => Some(SpioError::Config(format!(
+                        "rank {me}: particle {} at {:?} outside its patch {:?} — use WriteMode::General",
+                        bad.id, bad.position, patch
+                    ))),
+                    // The adaptive grid covers every occupied patch, so this
+                    // is a logic error.
+                    None if route.is_none() && !particles.is_empty() => {
+                        Some(SpioError::Config(format!(
+                            "rank {me} holds particles but lies outside the aggregation grid"
+                        )))
+                    }
+                    None => None,
+                };
+                let senders =
+                    my_partition.map_or_else(Vec::new, |p| grid.partitions[p].members.clone());
+                (Vec::from_iter(route), senders, global_counts, fault)
+            }
+            WriteMode::General => {
+                let (routes, senders, fault) = general_routing(comm, grid, particles, my_partition);
+                (routes, senders, None, fault)
+            }
+        };
 
-        // Post (not complete) my sends: count metadata then particle data,
-        // both to my partition's aggregator. Waiting happens after the
-        // receive side has drained, preserving the post-all-then-wait MPI
-        // structure.
+        // Post (not complete) my sends: count metadata, then particle data
+        // if there is any. Waiting happens after the receive side has
+        // drained, preserving the post-all-then-wait MPI structure.
         let mut sends: Vec<spio_comm::SendHandle> = Vec::new();
-        let my_partition = grid.partition_of_rank(me);
-        match (my_partition, particles.is_empty()) {
-            (Some(part_idx), _) => {
-                let dest = grid.partitions[part_idx].agg_rank;
-                if global_counts.is_none() {
-                    sends.push(comm.isend(
-                        dest,
-                        TAG_META,
-                        (particles.len() as u64).to_le_bytes().to_vec(),
-                    ));
-                }
-                if !particles.is_empty() {
-                    sends.push(comm.isend(
-                        dest,
-                        TAG_DATA,
-                        spio_types::particle::encode_particles(particles),
-                    ));
-                }
+        for (dest, bundle) in &routes {
+            if known_counts.is_none() {
+                let count = (bundle.len() as u64).to_le_bytes().to_vec();
+                sends.push(comm.isend(*dest, TAG_META, count));
             }
-            (None, false) => {
-                // Outside an adaptive grid yet holding particles — the grid
-                // covers all occupied patches, so this is a logic error.
-                return Err(SpioError::Config(format!(
-                    "rank {me} holds particles but lies outside the aggregation grid"
-                )));
+            if !bundle.is_empty() {
+                let data = spio_types::particle::encode_particles(bundle);
+                sends.push(comm.isend(*dest, TAG_DATA, data));
             }
-            (None, true) => {} // §6: empty ranks sit out.
         }
 
-        // Receive if I am an aggregator.
-        let buffer = if let Some(part_idx) = grid.aggregated_partition(me) {
-            let part = &grid.partitions[part_idx];
-            // Metadata phase: learn how many particles each member sends.
-            let sender_counts: Vec<(Rank, u64)> = if let Some(counts) = global_counts {
-                part.members.iter().map(|&m| (m, counts[m])).collect()
-            } else {
-                let handles: Vec<(Rank, spio_comm::RecvHandle)> = part
-                    .members
-                    .iter()
-                    .map(|&m| (m, comm.irecv(m, TAG_META)))
-                    .collect();
+        // Receive (senders are empty unless I aggregate): learn each
+        // sender's count (known, or from its count message), allocate the
+        // aggregation buffer (§3.3 step 4), then receive the particle data
+        // in sender order.
+        let counts: Vec<u64> = match known_counts {
+            Some(counts) => senders.iter().map(|&s| counts[s]).collect(),
+            None => {
+                let handles: Vec<spio_comm::RecvHandle> =
+                    senders.iter().map(|&s| comm.irecv(s, TAG_META)).collect();
                 handles
                     .into_iter()
-                    .map(|(m, h)| {
-                        let b = h.wait()?;
-                        let count = b
-                            .as_slice()
-                            .try_into()
-                            .map(u64::from_le_bytes)
-                            .map_err(|_| SpioError::Comm("bad metadata message".into()))?;
-                        Ok((m, count))
-                    })
-                    .collect::<Result<_, SpioError>>()?
-            };
-            // Allocate the aggregation buffer now that sizes are known
-            // (§3.3 step 4), then run the particle exchange.
-            let total: u64 = sender_counts.iter().map(|&(_, c)| c).sum();
-            let mut buffer = Vec::with_capacity(total as usize);
-            let handles: Vec<spio_comm::RecvHandle> = sender_counts
-                .iter()
-                .filter(|&&(_, c)| c > 0)
-                .map(|&(m, _)| comm.irecv(m, TAG_DATA))
-                .collect();
-            for h in handles {
-                let bytes = h.wait()?;
-                buffer.extend(spio_types::particle::decode_particles(&bytes)?);
+                    .map(|h| decode_count(&h.wait()?))
+                    .collect::<Result<_, _>>()?
             }
-            Some(buffer)
-        } else {
-            None
         };
+        let mut buffer = Vec::with_capacity(counts.iter().sum::<u64>() as usize);
+        let handles: Vec<spio_comm::RecvHandle> = senders
+            .iter()
+            .zip(&counts)
+            .filter(|&(_, &count)| count > 0)
+            .map(|(&s, _)| comm.irecv(s, TAG_DATA))
+            .collect();
+        for h in handles {
+            buffer.extend(spio_types::particle::decode_particles(&h.wait()?)?);
+        }
 
         // Complete the posted sends (batch wait).
         for s in sends {
             s.wait();
         }
-        Ok(buffer)
+        fault.map_or(Ok(my_partition.map(|p| (p, buffer))), Err)
     }
+}
 
-    /// General exchange: ranks declare their particle bounding boxes via an
-    /// all-gather, bin particles by partition, and send one bundle per
-    /// intersected partition (§3.3's non-aligned path).
-    fn exchange_general<C: Comm>(
-        &self,
-        comm: &C,
-        grid: &AggregationGrid,
-        particles: &[Particle],
-    ) -> Result<Option<Vec<Particle>>, SpioError> {
-        let me = comm.rank();
-        // Declared extent: the actual bounding box of my particles (§3.1:
-        // "the I/O system can easily compute this information by finding
-        // the bounding box of the particles on the process").
-        let mut bbox = Aabb3::empty();
-        for p in particles {
-            bbox.expand_to(p.position);
-        }
-        let declared = encode_declared(particles.len() as u64, &bbox);
-        let all_declared = comm.allgather(&declared);
+/// A contribution to the step-8 metadata gather: `(partition index, file
+/// entry, scalar ranges)`.
+type Contribution = (usize, FileEntry, AttrRange);
 
-        // Bin my particles by partition.
-        let npart = grid.partitions.len();
-        let mut bins: Vec<Vec<Particle>> = vec![Vec::new(); npart];
-        for p in particles {
-            let part = grid.partition_of_point(p.position).ok_or_else(|| {
-                SpioError::Config(format!(
+/// Prefix of a failed rank's metadata contribution; the error text
+/// follows. No partition index (a contribution's first word) reaches
+/// `u64::MAX`, and success contributions are empty or 104 bytes.
+const FAILED_CONTRIBUTION: [u8; 8] = u64::MAX.to_le_bytes();
+
+/// One exchange route: an aggregator and the particles sent to it.
+type Route<'a> = (Rank, Cow<'a, [Particle]>);
+
+/// General routing (§3.3's non-aligned path): ranks declare their particle
+/// bounding boxes via an all-gather and bin particles by partition. A rank
+/// routes one bundle to every partition its declared box intersects; an
+/// aggregator hears from the holding ranks whose declared boxes intersect
+/// its partition. Returns the routes, the senders and any local fault.
+fn general_routing<'a, C: Comm>(
+    comm: &C,
+    grid: &AggregationGrid,
+    particles: &'a [Particle],
+    my_partition: Option<usize>,
+) -> (Vec<Route<'a>>, Vec<Rank>, Option<SpioError>) {
+    let me = comm.rank();
+    // Declared extent: the actual bounding box of my particles (§3.1: "the
+    // I/O system can easily compute this information by finding the
+    // bounding box of the particles on the process").
+    let mut bbox = Aabb3::empty();
+    for p in particles {
+        bbox.expand_to(p.position);
+    }
+    let all_declared = comm.allgather(&encode_declared(particles.len() as u64, &bbox));
+
+    let mut fault = None;
+    let mut bins: Vec<Vec<Particle>> = vec![Vec::new(); grid.partitions.len()];
+    for p in particles {
+        match grid.partition_of_point(p.position) {
+            Some(part) => bins[part].push(*p),
+            None if fault.is_none() => {
+                fault = Some(SpioError::Config(format!(
                     "rank {me}: particle {} at {:?} outside the aggregation grid",
                     p.id, p.position
-                ))
-            })?;
-            bins[part].push(*p);
+                )))
+            }
+            None => {}
         }
-
-        // Post metadata + data sends to every partition my declared box
-        // intersects (the box contains all my particles, so any partition
-        // actually receiving data is in this set). All sends are posted
-        // before any is waited on.
-        let mut sends: Vec<spio_comm::SendHandle> = Vec::new();
-        if !particles.is_empty() {
-            for (part_idx, part) in grid.partitions.iter().enumerate() {
-                if !declared_intersects(&bbox, &part.bounds) {
-                    continue;
-                }
-                let bin = &bins[part_idx];
-                sends.push(comm.isend(
-                    part.agg_rank,
-                    TAG_META,
-                    (bin.len() as u64).to_le_bytes().to_vec(),
-                ));
-                if !bin.is_empty() {
-                    sends.push(comm.isend(
-                        part.agg_rank,
-                        TAG_DATA,
-                        spio_types::particle::encode_particles(bin),
-                    ));
-                }
-            }
-        }
-
-        // Receive if I am an aggregator: expected senders are ranks whose
-        // declared boxes intersect my partition and that hold particles.
-        let buffer = if let Some(part_idx) = grid.aggregated_partition(me) {
-            let bounds = grid.partitions[part_idx].bounds;
-            let mut senders: Vec<Rank> = Vec::new();
-            for (rank, bytes) in all_declared.iter().enumerate() {
-                let (count, rank_box) = decode_declared(bytes)?;
-                if count > 0 && declared_intersects(&rank_box, &bounds) {
-                    senders.push(rank);
-                }
-            }
-            let meta_handles: Vec<(Rank, spio_comm::RecvHandle)> = senders
-                .iter()
-                .map(|&s| (s, comm.irecv(s, TAG_META)))
-                .collect();
-            let mut data_senders = Vec::new();
-            let mut total: u64 = 0;
-            for (s, h) in meta_handles {
-                let b = h.wait()?;
-                let count = b
-                    .as_slice()
-                    .try_into()
-                    .map(u64::from_le_bytes)
-                    .map_err(|_| SpioError::Comm("bad metadata message".into()))?;
-                if count > 0 {
-                    data_senders.push(s);
-                    total += count;
-                }
-            }
-            let mut buffer = Vec::with_capacity(total as usize);
-            let handles: Vec<spio_comm::RecvHandle> = data_senders
-                .iter()
-                .map(|&s| comm.irecv(s, TAG_DATA))
-                .collect();
-            for h in handles {
-                buffer.extend(spio_types::particle::decode_particles(&h.wait()?)?);
-            }
-            Some(buffer)
-        } else {
-            None
-        };
-
-        // Complete the posted sends (batch wait).
-        for s in sends {
-            s.wait();
-        }
-        Ok(buffer)
     }
+    // The declared box contains all my particles, so any partition actually
+    // receiving data is among those it intersects.
+    let routes = grid
+        .partitions
+        .iter()
+        .zip(bins)
+        .filter(|(part, _)| declared_intersects(&bbox, &part.bounds))
+        .map(|(part, bin)| (part.agg_rank, Cow::Owned(bin)))
+        .collect();
+    let mut senders = Vec::new();
+    if let Some(part_idx) = my_partition {
+        let bounds = grid.partitions[part_idx].bounds;
+        for (rank, bytes) in all_declared.iter().enumerate() {
+            match decode_declared(bytes) {
+                Ok((count, rank_box)) if count > 0 && declared_intersects(&rank_box, &bounds) => {
+                    senders.push(rank)
+                }
+                Ok(_) => {}
+                Err(e) => fault = fault.or(Some(e)),
+            }
+        }
+    }
+    (routes, senders, fault)
+}
+
+/// Decode a particle-count message: one little-endian `u64`.
+fn decode_count(bytes: &[u8]) -> Result<u64, SpioError> {
+    let word = bytes
+        .try_into()
+        .map_err(|_| SpioError::Comm(format!("bad count message of {} bytes", bytes.len())))?;
+    Ok(u64::from_le_bytes(word))
 }
 
 /// Intersection test between a particle bounding box (closed, from
@@ -652,11 +607,13 @@ fn decode_declared(bytes: &[u8]) -> Result<(u64, Aabb3), SpioError> {
 
 /// Encode a rank's contribution to the metadata gather: empty for
 /// non-aggregators, `(partition_index, entry, scalar ranges)` for
-/// aggregators.
-fn encode_meta_contribution(entry: &Option<(usize, FileEntry, AttrRange)>) -> Vec<u8> {
+/// aggregators, [`FAILED_CONTRIBUTION`] and the error text for a rank that
+/// failed locally.
+fn encode_meta_contribution(entry: &Result<Option<Contribution>, SpioError>) -> Vec<u8> {
     match entry {
-        None => Vec::new(),
-        Some((part_idx, e, r)) => {
+        Err(e) => [FAILED_CONTRIBUTION.as_slice(), e.to_string().as_bytes()].concat(),
+        Ok(None) => Vec::new(),
+        Ok(Some((part_idx, e, r))) => {
             let mut out = Vec::with_capacity(8 + 8 + 8 + 48 + 32);
             out.extend_from_slice(&(*part_idx as u64).to_le_bytes());
             out.extend_from_slice(&e.agg_rank.to_le_bytes());
@@ -672,9 +629,14 @@ fn encode_meta_contribution(entry: &Option<(usize, FileEntry, AttrRange)>) -> Ve
     }
 }
 
-fn decode_meta_contribution(bytes: &[u8]) -> Option<(usize, FileEntry, AttrRange)> {
+/// Decode one gathered contribution; `Err` carries a failed rank's error
+/// text, and a malformed contribution decodes as none.
+fn decode_meta_contribution(bytes: &[u8]) -> Result<Option<Contribution>, String> {
+    if let Some(msg) = bytes.strip_prefix(FAILED_CONTRIBUTION.as_slice()) {
+        return Err(String::from_utf8_lossy(msg).into_owned());
+    }
     if bytes.len() != 104 {
-        return None;
+        return Ok(None);
     }
     let decode = || -> Result<_, SpioError> {
         Ok((
@@ -692,7 +654,7 @@ fn decode_meta_contribution(bytes: &[u8]) -> Option<(usize, FileEntry, AttrRange
             },
         ))
     };
-    decode().ok()
+    Ok(decode().ok())
 }
 
 #[cfg(test)]
@@ -859,26 +821,30 @@ mod tests {
 
     #[test]
     fn aligned_mode_rejects_stray_particles() {
-        let storage = MemStorage::new();
-        // Every rank fabricates a particle inside the *other* rank's patch,
-        // so both fail fast before any collective (a lone failing rank
-        // would hang its peers, just like real MPI).
-        let err = run_threaded_collect(2, move |comm| {
-            let x = if comm.rank() == 0 { 0.9 } else { 0.1 };
-            let p = Particle::synthetic([x, 0.5, 0.5], comm.rank() as u64);
-            let writer = SpatialWriter::new(
-                decomp(2, 1, 1),
-                WriterConfig::new(PartitionFactor::new(1, 1, 1)),
-            );
-            writer.write(&comm, &[p], &storage.clone()).map(|_| ())
-        })
-        .unwrap();
-        assert!(
-            err.iter().all(Result::is_err),
-            "stray particles must be caught"
-        );
-        let msg = format!("{}", err[0].as_ref().unwrap_err());
-        assert!(msg.contains("WriteMode::General"), "got: {msg}");
+        // A rank holding a particle inside another rank's patch fails
+        // locally, yet still completes the exchange and the metadata
+        // gather, so every rank returns the error: first with both ranks
+        // holding a stray, then with rank 1 alone.
+        for stray_ranks in [vec![0, 1], vec![1]] {
+            let storage = MemStorage::new();
+            let results = run_threaded_collect(2, move |comm| {
+                // x = [0.1, 0.9][r] lies in rank r's patch; a stray rank
+                // takes the other rank's.
+                let me = comm.rank();
+                let x = [0.1, 0.9][me ^ usize::from(stray_ranks.contains(&me))];
+                let p = Particle::synthetic([x, 0.5, 0.5], me as u64);
+                let writer = SpatialWriter::new(
+                    decomp(2, 1, 1),
+                    WriterConfig::new(PartitionFactor::new(1, 1, 1)),
+                );
+                writer.write(&comm, &[p], &storage.clone()).map(|_| ())
+            })
+            .unwrap();
+            for res in &results {
+                let msg = format!("{}", res.as_ref().unwrap_err());
+                assert!(msg.contains("WriteMode::General"), "got: {msg}");
+            }
+        }
     }
 
     #[test]
@@ -948,38 +914,29 @@ mod tests {
     }
 
     #[test]
-    fn stratified_and_parallel_orders_write_valid_datasets() {
-        use crate::shuffle::LodOrder;
-        for (order, parallel, expect_flags) in [
-            (LodOrder::Stratified, false, super::flags::STRATIFIED_ORDER),
-            (LodOrder::Random, true, super::flags::KEYED_SHUFFLE),
-        ] {
-            let d = decomp(4, 4, 1);
-            let storage = MemStorage::new();
-            let s2 = storage.clone();
-            run_threaded_collect(16, move |comm| {
-                let particles = spio_workloads_shim::uniform(&d, comm.rank(), 60, 4);
-                let writer = SpatialWriter::new(
-                    d.clone(),
-                    WriterConfig::new(PartitionFactor::new(2, 2, 1))
-                        .with_lod_order(order)
-                        .with_parallel_shuffle(parallel),
-                );
-                writer.write(&comm, &particles, &s2).unwrap();
-            })
-            .unwrap();
-            let meta =
-                SpatialMetadata::decode(&storage.read_file(META_FILE_NAME).unwrap()).unwrap();
-            assert_eq!(meta.total_particles, 16 * 60);
-            for entry in &meta.entries {
-                let bytes = storage.read_file(&entry.file_name()).unwrap();
-                let (header, ps) = decode_data_file(&bytes).unwrap();
-                let order_bits = super::flags::STRATIFIED_ORDER | super::flags::KEYED_SHUFFLE;
-                assert_eq!(header.flags & order_bits, expect_flags);
-                assert!(header.has_checksums(), "v2 writes are checksummed");
-                assert_eq!(ps.len() as u64, entry.particle_count);
-                assert!(ps.iter().all(|p| entry.bounds.contains(p.position)));
-            }
+    fn stratified_order_writes_valid_dataset() {
+        let d = decomp(4, 4, 1);
+        let storage = MemStorage::new();
+        let s2 = storage.clone();
+        run_threaded_collect(16, move |comm| {
+            let particles = spio_workloads_shim::uniform(&d, comm.rank(), 60, 4);
+            let writer = SpatialWriter::new(
+                d.clone(),
+                WriterConfig::new(PartitionFactor::new(2, 2, 1))
+                    .with_lod_order(LodOrder::Stratified),
+            );
+            writer.write(&comm, &particles, &s2).unwrap();
+        })
+        .unwrap();
+        let meta = SpatialMetadata::decode(&storage.read_file(META_FILE_NAME).unwrap()).unwrap();
+        assert_eq!(meta.total_particles, 16 * 60);
+        for entry in &meta.entries {
+            let bytes = storage.read_file(&entry.file_name()).unwrap();
+            let (header, ps) = decode_data_file(&bytes).unwrap();
+            assert_ne!(header.flags & flags::STRATIFIED_ORDER, 0);
+            assert!(header.has_checksums(), "v2 writes are checksummed");
+            assert_eq!(ps.len() as u64, entry.particle_count);
+            assert!(ps.iter().all(|p| entry.bounds.contains(p.position)));
         }
     }
 
@@ -1032,39 +989,12 @@ mod tests {
 
     #[test]
     fn meta_write_failure_reaches_every_rank() {
-        use crate::storage::MemStorage;
-        use spio_types::SpioError;
-
-        /// Storage that accepts data files but refuses the metadata file —
-        /// models rank 0 hitting a full or failed filesystem at the last
-        /// step.
-        #[derive(Clone)]
-        struct FailMeta(MemStorage);
-        impl Storage for FailMeta {
-            fn write_file(&self, name: &str, data: &[u8]) -> Result<(), SpioError> {
-                if name == META_FILE_NAME {
-                    return Err(SpioError::Io(std::io::Error::other("disk full")));
-                }
-                self.0.write_file(name, data)
-            }
-            fn read_file(&self, name: &str) -> Result<Vec<u8>, SpioError> {
-                self.0.read_file(name)
-            }
-            fn read_range(&self, name: &str, s: u64, e: u64) -> Result<Vec<u8>, SpioError> {
-                self.0.read_range(name, s, e)
-            }
-            fn file_size(&self, name: &str) -> Result<u64, SpioError> {
-                self.0.file_size(name)
-            }
-            fn exists(&self, name: &str) -> bool {
-                self.0.exists(name)
-            }
-            fn write_range(&self, name: &str, o: u64, d: &[u8]) -> Result<(), SpioError> {
-                self.0.write_range(name, o, d)
-            }
-        }
-
-        let storage = FailMeta(MemStorage::new());
+        use crate::{ChaosConfig, ChaosStorage};
+        // Storage that accepts data files but refuses the metadata file —
+        // models rank 0 hitting a full or failed filesystem at the last
+        // step.
+        let storage = ChaosStorage::new(MemStorage::new(), ChaosConfig::default());
+        storage.poison(META_FILE_NAME);
         let results = run_threaded_collect(4, move |comm| {
             let d = decomp(2, 2, 1);
             let particles = spio_workloads_shim::uniform(&d, comm.rank(), 10, 5);
@@ -1079,7 +1009,7 @@ mod tests {
         for (rank, res) in results.iter().enumerate() {
             let err = res.as_ref().expect_err("rank must report meta failure");
             assert!(
-                err.to_string().contains("disk full"),
+                err.to_string().contains("injected persistent fault"),
                 "rank {rank} got: {err}"
             );
         }

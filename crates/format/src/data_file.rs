@@ -32,8 +32,10 @@ pub const HEADER_BYTES: usize = 8 + 4 + 4 + 8 + 48 + 8 + 16;
 /// often and verify the prefix they fetched incrementally.
 pub const CHECKSUM_CHUNK_RECORDS: u64 = 4096;
 
-/// Header flag bits. Bits 0 and 1 record the LOD ordering (see
-/// `spio_core::writer::flags`); bit 2 is owned by the format layer.
+/// Header flag bits. Bit 0 records the LOD ordering (see
+/// `spio_core::writer::flags`); bit 1 is reserved (the removed keyed
+/// parallel shuffle set it, and readers ignore it); bit 2 is owned by the
+/// format layer.
 pub mod header_flags {
     /// A v2 checksum footer (one CRC-32 per payload chunk) follows the
     /// payload, and the header's reserved tail carries the chunk size and
@@ -395,13 +397,18 @@ mod tests {
         let ps: Vec<Particle> = (0..3)
             .map(|i| Particle::synthetic([i as f64, 0.5, 2.5], 100 + i))
             .collect();
-        let h = sample_header();
-        let bytes = encode_data_file(&h, &ps);
-        assert_eq!(bytes.len() as u64, h.encoded_len().unwrap());
-        let (h2, ps2) = decode_data_file(&bytes).unwrap();
-        assert_eq!(h2, h);
-        assert_eq!(ps2, ps);
-        assert_eq!(verify_checksums(&bytes).unwrap(), 1);
+        // Flag bit 1 is reserved: the removed keyed parallel shuffle set it,
+        // and files carrying it still read.
+        for reserved in [0, 2] {
+            let mut h = sample_header();
+            h.flags |= reserved;
+            let bytes = encode_data_file(&h, &ps);
+            assert_eq!(bytes.len() as u64, h.encoded_len().unwrap());
+            let (h2, ps2) = decode_data_file(&bytes).unwrap();
+            assert_eq!(h2, h);
+            assert_eq!(ps2, ps);
+            assert_eq!(verify_checksums(&bytes).unwrap(), 1);
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * [`inspect`] — summarize a dataset: the Fig. 4 metadata table, LOD
 //!   parameters, per-file particle counts and attribute ranges;
 //! * [`validate`] — deep-check a dataset: metadata invariants, file
-//!   headers, payload sizes, spatial containment, id uniqueness, and the
-//!   recorded shuffle seeds;
+//!   headers, payload sizes and checksums, spatial containment, attribute
+//!   ranges and id uniqueness;
 //! * [`query`] — run a box (optionally density-filtered) query and report
 //!   counts and I/O statistics;
 //! * [`lod_stats`] — show how a level-of-detail read would progress;
@@ -15,8 +15,7 @@
 //!   spatially-aware format, i.e. the "costly post-process data
 //!   conversion step" (§2) that writing natively in this format avoids.
 
-use spio_core::shuffle::{partition_seed, shuffle_permutation};
-use spio_core::writer::flags;
+use spio_core::shuffle::partition_seed;
 use spio_core::{DatasetReader, FsStorage, Storage};
 use spio_format::data_file::{decode_data_file, DataFileHeader};
 use spio_format::{data_file_name, FileEntry, LodParams, SpatialMetadata, META_FILE_NAME};
@@ -157,13 +156,6 @@ pub fn validate<S: Storage>(storage: &S) -> Result<ValidationReport, SpioError> 
                     .problems
                     .push(format!("{name}: density outside recorded range"));
             }
-        }
-        // Layout check: a plain Fisher–Yates file must match the
-        // permutation its header seed implies when un-shuffled to a
-        // sorted-by-id sequence is not required — but the permutation must
-        // at least be reconstructible without panics.
-        if header.flags & (flags::STRATIFIED_ORDER | flags::KEYED_SHUFFLE) == 0 {
-            let _ = shuffle_permutation(particles.len(), header.shuffle_seed);
         }
         total += particles.len() as u64;
         report.particles_checked += particles.len() as u64;

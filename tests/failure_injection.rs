@@ -38,23 +38,35 @@ fn good_dataset() -> MemStorage {
 
 #[test]
 fn write_faults_on_every_rank_error_cleanly() {
-    // All data-file writes fail: every rank must get an error, no panic,
-    // no deadlock (the metadata gather still runs collectively, so all
-    // ranks reach the same failure point).
-    let chaos = ChaosStorage::new(MemStorage::new(), ChaosConfig::budgets(0, u64::MAX));
-    let c2 = chaos.clone();
-    let results = spio_comm::run_threaded_collect(4, move |comm| {
-        use spio_comm::Comm;
-        let ps = uniform_patch_particles(&decomp(), comm.rank(), 100, 1);
-        SpatialWriter::new(decomp(), WriterConfig::new(PartitionFactor::new(1, 1, 1)))
-            .write(&comm, &ps, &c2)
-            .map(|_| ())
-    })
-    .unwrap();
-    // Every rank aggregates its own file under (1,1,1), so every rank hits
-    // the fault.
-    assert!(results.iter().all(Result::is_err));
-    assert_eq!(chaos.stats().budget_faults, 4);
+    // Every rank aggregates its own file under (1,1,1). First all four
+    // data-file writes fail, then only rank 1's. Either way every rank must
+    // get an error, no panic and no deadlock: a rank whose write failed
+    // still joins the metadata gather and reports its failure there, so
+    // rank 0 writes no metadata and broadcasts the failure.
+    for lone in [false, true] {
+        let config = if lone {
+            ChaosConfig::default()
+        } else {
+            ChaosConfig::budgets(0, u64::MAX)
+        };
+        let chaos = ChaosStorage::new(MemStorage::new(), config);
+        if lone {
+            chaos.poison("file_1.spd");
+        }
+        let c2 = chaos.clone();
+        let results = spio_comm::run_threaded_collect(4, move |comm| {
+            use spio_comm::Comm;
+            let ps = uniform_patch_particles(&decomp(), comm.rank(), 100, 1);
+            SpatialWriter::new(decomp(), WriterConfig::new(PartitionFactor::new(1, 1, 1)))
+                .write(&comm, &ps, &c2)
+                .map(|_| ())
+        })
+        .unwrap();
+        assert!(results.iter().all(Result::is_err), "lone={lone}");
+        assert!(!chaos.inner().exists("spatial_meta.spm"), "lone={lone}");
+        let faults = chaos.stats().budget_faults + chaos.stats().persistent_faults;
+        assert_eq!(faults, if lone { 1 } else { 4 });
+    }
 }
 
 #[test]
