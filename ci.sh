@@ -66,12 +66,14 @@ echo "ci: read-serving pipeline OK"
 #    `benches/` or `examples/`, so tests may unwrap freely. A site that
 #    must keep a panic carries `#[expect(clippy::..., reason = "...")]`;
 #    a stale one fails the `--all-targets -D warnings` run above. That run
-#    also enforces the root clippy.toml's `disallowed-methods`.
+#    also enforces the root clippy.toml's `disallowed-methods`. The gate
+#    below also denies an `unsafe` block without a `// SAFETY:` comment;
+#    the CRC-32 hardware dispatch in spio-util holds the only one.
 # 2. The schedule-explorer suite — every collective schedule-invariant
 #    across seeded interleavings, every known-bad comm fixture diagnosed.
 # 3. `spio verify-comm` — the same checks through the CLI surface, wider
 #    seed sweep.
-cargo clippy --workspace --lib --bins -- -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy --workspace --lib --bins -- -D clippy::unwrap_used -D clippy::expect_used -D clippy::undocumented_unsafe_blocks
 cargo test -q -p spio-verify --test schedule_explorer
 "$SPIO" verify-comm --procs 4 --seeds 16 > /dev/null
 echo "ci: verification gates OK"

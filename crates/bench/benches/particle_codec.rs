@@ -1,9 +1,13 @@
 //! Microbench for the particle record codec: the serialization on the
-//! write path and the decode on the read path (124 B per particle).
+//! write path and the decode on the read path (124 B per particle), plus
+//! the CRC-32 that checksums those bytes on both paths — the portable
+//! slicing-by-16 loop and the dispatched path (the hardware kernel where
+//! the CPU has one).
 
 use spio_types::particle::{decode_particles, encode_particles};
 use spio_types::Particle;
 use spio_util::bench::{bench, black_box};
+use spio_util::crc::{crc32, crc32_portable};
 
 fn particles(n: usize) -> Vec<Particle> {
     (0..n)
@@ -21,5 +25,13 @@ fn main() {
         bench(&format!("particle_codec/decode/{n}"), || {
             let _ = black_box(decode_particles(&bytes));
         });
+        if n == 32 * 1024 {
+            bench(&format!("particle_codec/crc32/portable/{n}"), || {
+                black_box(crc32_portable(black_box(&bytes)));
+            });
+            bench(&format!("particle_codec/crc32/dispatched/{n}"), || {
+                black_box(crc32(black_box(&bytes)));
+            });
+        }
     }
 }

@@ -117,7 +117,7 @@ impl PrefixFile {
         if !self.opened {
             self.open(storage, stats)?;
         }
-        let (start, end) = payload_range(self.loaded as usize, target as usize);
+        let (start, end) = payload_range(self.loaded, target);
         let bytes = storage.read_range(&self.name, start, end)?;
         stats.files_opened += 1;
         stats.bytes_read += bytes.len() as u64;
@@ -149,8 +149,10 @@ impl PrefixFile {
                 self.name, header.particle_count, self.total
             )));
         }
+        // Checked first for every version: it rejects a count whose file
+        // size overflows, before any payload range arithmetic runs.
+        let (start, end) = footer_range(&header)?;
         if header.has_checksums() {
-            let (start, end) = footer_range(&header);
             let footer = storage.read_range(&self.name, start, end)?;
             stats.bytes_read += footer.len() as u64;
             self.crcs = decode_checksum_footer(&header, &footer)?;
@@ -1091,6 +1093,24 @@ mod tests {
                 out.len()
             );
         }
+    }
+
+    #[test]
+    fn crafted_header_count_that_overflows_is_an_error() {
+        // A valid v2 header (its CRC passes) whose count agrees with the
+        // metadata but whose encoded length overflows u64.
+        let count = u64::MAX / 100;
+        let header = DataFileHeader::new(count, Aabb3::new([0.0; 3], [1.0; 3]), 1);
+        assert_eq!(header.encoded_len(), None);
+        let storage = MemStorage::new();
+        storage.write_file("crafted", &header.encode()).unwrap();
+        let res = PrefixFile::new("crafted".into(), count).extend_to(
+            &storage,
+            1,
+            &mut ReadStats::default(),
+            &mut Vec::new(),
+        );
+        assert!(matches!(res, Err(SpioError::Format(_))), "{res:?}");
     }
 
     #[test]
