@@ -12,9 +12,12 @@ pub struct WriteStats {
     /// Time exchanging metadata and particle data over the network
     /// (the paper's "data aggregation" phase).
     pub aggregation_time: Duration,
-    /// Time spent in the LOD reshuffle.
+    /// Time computing the LOD order (§3.4) as an index permutation over the
+    /// aggregated records; gathering the records into that order is billed
+    /// to `file_io_time`.
     pub shuffle_time: Duration,
-    /// Time writing data files to storage (the paper's "file I/O" phase).
+    /// Time assembling data files (LOD gather, checksums) and writing them
+    /// to storage (the paper's "file I/O" phase).
     pub file_io_time: Duration,
     /// Time writing the spatial metadata file (rank 0 only).
     pub meta_time: Duration,

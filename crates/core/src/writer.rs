@@ -7,10 +7,17 @@
 //! 3. exchange metadata — particle counts so aggregators can size their
 //!    receive buffers (§3.3); the adaptive path exchanges extents up front
 //!    (§6) and the general path exchanges declared particle boxes;
-//! 4. allocate aggregation buffers;
-//! 5. exchange particles with non-blocking point-to-point messages (§3.3);
-//! 6. reshuffle each aggregated buffer into level-of-detail order (§3.4);
-//! 7. write one data file per partition (§3.4);
+//! 4. allocate aggregation buffers: an aggregator's buffer is its data
+//!    file, sized from the declared counts, which every data message it
+//!    receives must match;
+//! 5. exchange particles with non-blocking point-to-point messages (§3.3),
+//!    kept as the encoded records they arrive as — an aggregator never
+//!    decodes them;
+//! 6. compute each partition's level-of-detail order (§3.4) as an index
+//!    permutation over the received records;
+//! 7. gather the records in that order straight into the data file's
+//!    buffer, which is the aggregation buffer, and write one data file per
+//!    partition (§3.4);
 //! 8. gather per-file bounding boxes and write the spatial metadata file on
 //!    rank 0 (§3.5), then broadcast the outcome so no rank reports success
 //!    for a dataset whose metadata never landed.
@@ -34,16 +41,17 @@
 
 use crate::adaptive::AdaptiveGrid;
 use crate::grid::AggregationGrid;
-use crate::shuffle::{lod_shuffle, lod_stratify, partition_seed, LodOrder};
+use crate::shuffle::{lod_permutation, partition_seed, LodOrder};
 use crate::stats::WriteStats;
 use crate::storage::Storage;
 use spio_comm::{Comm, Tag};
-use spio_format::data_file::{encode_data_file, DataFileHeader};
+use spio_format::data_file::{assemble_data_file, DataFileHeader};
 use spio_format::meta::AttrRange;
 use spio_format::{data_file_name, FileEntry, LodParams, SpatialMetadata, META_FILE_NAME};
 use spio_trace::Trace;
 use spio_types::le::{aabb_at, f64_at, u64_at};
-use spio_types::{Aabb3, DomainDecomposition, Particle, Rank, SpioError};
+use spio_types::particle::{encode_particles, record_table};
+use spio_types::{Aabb3, DomainDecomposition, Particle, Rank, SpioError, PARTICLE_BYTES};
 use std::borrow::Cow;
 use std::time::Instant;
 
@@ -219,7 +227,7 @@ impl SpatialWriter {
         self.trace
             .phase(me, phases::AGGREGATION, stats.aggregation_time);
 
-        // ---- Steps 6-7: LOD shuffle + data file write. ----
+        // ---- Steps 6-7: LOD order + data file assembly and write. ----
         let my_entry =
             aggregated.and_then(|agg| self.write_partition(me, &grid, agg, storage, &mut stats));
 
@@ -232,49 +240,42 @@ impl SpatialWriter {
         Ok(stats)
     }
 
-    /// Steps 6-7 on an aggregator (nothing elsewhere): LOD-order the
-    /// aggregated buffer, write the partition's data file, and return its
-    /// metadata contribution.
+    /// Steps 6-7 on an aggregator (nothing elsewhere): compute the LOD
+    /// permutation of the received records, gather them in that order into
+    /// the partition's data file, write it, and return its metadata
+    /// contribution.
     fn write_partition<S: Storage>(
         &self,
         me: Rank,
         grid: &AggregationGrid,
-        aggregated: Option<(usize, Vec<Particle>)>,
+        aggregated: Option<Aggregated>,
         storage: &S,
         stats: &mut WriteStats,
     ) -> Result<Option<Contribution>, SpioError> {
-        let Some((part_idx, mut buffer)) = aggregated else {
+        let Some((part_idx, messages)) = aggregated else {
             return Ok(None);
         };
-        stats.particles_aggregated = buffer.len() as u64;
 
         let t0 = Instant::now();
+        let records = record_table(&messages)?;
+        stats.particles_aggregated = records.len() as u64;
         let seed = partition_seed(self.config.seed, part_idx);
         let bounds = grid.partitions[part_idx].bounds;
-        let mut file_flags = 0u32;
-        match self.config.lod_order {
-            LodOrder::Stratified => {
-                lod_stratify(&mut buffer, &bounds, seed);
-                file_flags |= flags::STRATIFIED_ORDER;
-            }
-            LodOrder::Random => lod_shuffle(&mut buffer, seed),
-        }
+        let perm = lod_permutation(self.config.lod_order, &records, &bounds, seed)?;
         stats.shuffle_time = t0.elapsed();
         self.trace.phase(me, phases::SHUFFLE, stats.shuffle_time);
 
-        // §3.5 extension: record the scalar ranges of this file so
-        // readers can prune attribute range-queries.
-        let mut range = AttrRange::empty();
-        for p in &buffer {
-            range.include(p.density, p.volume);
-        }
-
         let t0 = Instant::now();
-        let mut header = DataFileHeader::new(buffer.len() as u64, bounds, seed);
+        let mut header = DataFileHeader::new(records.len() as u64, bounds, seed);
         // OR, don't assign: `new` already set the format-owned bits
         // (CHECKSUMS); the writer only owns the LOD-order bits.
-        header.flags |= file_flags;
-        let bytes = encode_data_file(&header, &buffer);
+        if self.config.lod_order == LodOrder::Stratified {
+            header.flags |= flags::STRATIFIED_ORDER;
+        }
+        // §3.5 extension: the assembler also returns the scalar ranges of
+        // this file so readers can prune attribute range-queries.
+        let (bytes, range) = assemble_data_file(&header, &records, &perm)?;
+        drop(messages);
         storage.write_file(&data_file_name(me), &bytes)?;
         stats.bytes_written = bytes.len() as u64;
         stats.files_written = 1;
@@ -285,7 +286,7 @@ impl SpatialWriter {
             part_idx,
             FileEntry {
                 agg_rank: me as u64,
-                particle_count: buffer.len() as u64,
+                particle_count: header.particle_count,
                 bounds,
             },
             range,
@@ -400,22 +401,24 @@ impl SpatialWriter {
     /// Steps 3-5, the §3.3 two-phase exchange, for both [`WriteMode`]s. The
     /// mode decides only the routes (where my particles go) and the senders
     /// (whom my partition hears from). Then every count and data send is
-    /// posted, an aggregator receives the counts, allocates, and receives
-    /// the data in sender order, and the sends are waited on. Returns
-    /// `(partition index, aggregated buffer)` on aggregators.
+    /// posted, an aggregator receives the counts and then the data in
+    /// sender order, and the sends are waited on. Returns `(partition
+    /// index, received data messages in sender order)` on aggregators.
     ///
-    /// A local fault is returned only after the exchange has run, so no
-    /// peer waits on a message this rank never sent.
+    /// A local fault — including a data message whose length is not its
+    /// sender's declared count of records — is returned only after the
+    /// exchange has run, so no peer waits on a message this rank never
+    /// sent.
     fn exchange<C: Comm>(
         &self,
         comm: &C,
         grid: &AggregationGrid,
         particles: &[Particle],
         global_counts: Option<&[u64]>,
-    ) -> Result<Option<(usize, Vec<Particle>)>, SpioError> {
+    ) -> Result<Option<Aggregated>, SpioError> {
         let me = comm.rank();
         let my_partition = grid.aggregated_partition(me);
-        let (routes, senders, known_counts, fault) = match self.config.mode {
+        let (routes, senders, known_counts, mut fault) = match self.config.mode {
             WriteMode::Aligned => {
                 // §3.1's fast path: the whole slice goes to my partition's
                 // aggregator, with no binning and no copy. With
@@ -460,15 +463,14 @@ impl SpatialWriter {
                 sends.push(comm.isend(*dest, TAG_META, count));
             }
             if !bundle.is_empty() {
-                let data = spio_types::particle::encode_particles(bundle);
-                sends.push(comm.isend(*dest, TAG_DATA, data));
+                sends.push(comm.isend(*dest, TAG_DATA, encode_particles(bundle)));
             }
         }
 
         // Receive (senders are empty unless I aggregate): learn each
-        // sender's count (known, or from its count message), allocate the
-        // aggregation buffer (§3.3 step 4), then receive the particle data
-        // in sender order.
+        // sender's count (known, or from its count message), then receive
+        // the particle data in sender order, checking each message against
+        // its declared count.
         let counts: Vec<u64> = match known_counts {
             Some(counts) => senders.iter().map(|&s| counts[s]).collect(),
             None => {
@@ -480,24 +482,35 @@ impl SpatialWriter {
                     .collect::<Result<_, _>>()?
             }
         };
-        let mut buffer = Vec::with_capacity(counts.iter().sum::<u64>() as usize);
-        let handles: Vec<spio_comm::RecvHandle> = senders
+        let handles: Vec<(Rank, u64, spio_comm::RecvHandle)> = senders
             .iter()
             .zip(&counts)
             .filter(|&(_, &count)| count > 0)
-            .map(|(&s, _)| comm.irecv(s, TAG_DATA))
+            .map(|(&s, &count)| (s, count, comm.irecv(s, TAG_DATA)))
             .collect();
-        for h in handles {
-            buffer.extend(spio_types::particle::decode_particles(&h.wait()?)?);
+        let mut messages = Vec::with_capacity(handles.len());
+        for (sender, count, h) in handles {
+            let data = h.wait()?;
+            if count.checked_mul(PARTICLE_BYTES as u64) != Some(data.len() as u64) {
+                fault = fault.or(Some(SpioError::Comm(format!(
+                    "rank {sender} declared {count} particles but sent {} bytes",
+                    data.len()
+                ))));
+            }
+            messages.push(data);
         }
 
         // Complete the posted sends (batch wait).
         for s in sends {
             s.wait();
         }
-        fault.map_or(Ok(my_partition.map(|p| (p, buffer))), Err)
+        fault.map_or(Ok(my_partition.map(|p| (p, messages))), Err)
     }
 }
+
+/// An aggregator's partition index and the data messages it received, in
+/// sender order.
+type Aggregated = (usize, Vec<Vec<u8>>);
 
 /// A contribution to the step-8 metadata gather: `(partition index, file
 /// entry, scalar ranges)`.
@@ -790,10 +803,11 @@ mod tests {
         // Undo the permutation: the result must be sorted by (sender rank,
         // local index) i.e. by id within sender groups, since senders are
         // concatenated in rank order before shuffling.
-        let perm = crate::shuffle::shuffle_permutation(particles.len(), header.shuffle_seed);
+        let perm =
+            crate::shuffle::shuffle_permutation(particles.len(), header.shuffle_seed).unwrap();
         let mut unshuffled = vec![None; particles.len()];
         for (new_idx, &old_idx) in perm.iter().enumerate() {
-            unshuffled[old_idx] = Some(particles[new_idx]);
+            unshuffled[old_idx as usize] = Some(particles[new_idx]);
         }
         let ids: Vec<u64> = unshuffled.iter().map(|p| p.unwrap().id).collect();
         let mut sorted = ids.clone();
@@ -970,6 +984,82 @@ mod tests {
             let bytes = storage.read_file(&entry.file_name()).unwrap();
             let (_, ps) = decode_data_file(&bytes).unwrap();
             assert!(ps.iter().all(|p| entry.bounds.contains(p.position)));
+        }
+    }
+
+    /// Delivers rank 1's particle data `delta` bytes longer or shorter
+    /// than its count message declares.
+    struct MisCount<C> {
+        inner: C,
+        delta: isize,
+    }
+
+    impl<C: Comm> Comm for MisCount<C> {
+        fn rank(&self) -> Rank {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn isend(&self, dest: Rank, tag: Tag, mut data: Vec<u8>) -> spio_comm::SendHandle {
+            if tag == TAG_DATA && self.rank() == 1 {
+                data.resize(data.len().checked_add_signed(self.delta).unwrap(), 0);
+            }
+            self.inner.isend(dest, tag, data)
+        }
+        fn irecv(&self, src: Rank, tag: Tag) -> spio_comm::RecvHandle {
+            self.inner.irecv(src, tag)
+        }
+        fn barrier(&self) {
+            self.inner.barrier()
+        }
+        fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
+            self.inner.allgather(data)
+        }
+        fn alltoall(&self, sends: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+            self.inner.alltoall(sends)
+        }
+        fn gather_to(&self, root: Rank, data: &[u8]) -> Option<Vec<Vec<u8>>> {
+            self.inner.gather_to(root, data)
+        }
+        fn broadcast(&self, root: Rank, data: Vec<u8>) -> Vec<u8> {
+            self.inner.broadcast(root, data)
+        }
+    }
+
+    #[test]
+    fn data_message_disagreeing_with_its_count_fails_every_rank() {
+        // A short message, a long one, and one that ends mid-record: the
+        // aggregator (rank 0) reports a comm error instead of writing a
+        // wrong file or panicking, and the step-8 gather carries it to the
+        // sender too.
+        let short_record = -(PARTICLE_BYTES as isize);
+        for delta in [short_record, PARTICLE_BYTES as isize, -1] {
+            let storage = MemStorage::new();
+            let s2 = storage.clone();
+            let results = run_threaded_collect(2, move |comm| {
+                let d = decomp(2, 1, 1);
+                let particles = spio_workloads_shim::uniform(&d, comm.rank(), 10, 3);
+                let comm = MisCount { inner: comm, delta };
+                SpatialWriter::new(d, WriterConfig::new(PartitionFactor::new(2, 1, 1)))
+                    .write(&comm, &particles, &s2)
+                    .map(|_| ())
+            })
+            .unwrap();
+            for (rank, res) in results.iter().enumerate() {
+                let err = res
+                    .as_ref()
+                    .expect_err("a mis-sized message must fail the write");
+                assert!(matches!(err, SpioError::Comm(_)), "rank {rank}: {err}");
+                assert!(
+                    err.to_string().contains("rank 1 declared 10 particles"),
+                    "rank {rank} got: {err}"
+                );
+            }
+            assert!(
+                storage.file_names().is_empty(),
+                "delta {delta}: nothing may be written"
+            );
         }
     }
 

@@ -12,8 +12,11 @@
 //!   reads use identical byte arithmetic for both versions and v1 datasets
 //!   read back byte-identically.
 
+use crate::meta::AttrRange;
 use spio_types::le::{aabb_at, u32_at, u64_at};
-use spio_types::particle::decode_particles;
+use spio_types::particle::{
+    decode_particles, encode_particles, record_f64, DENSITY_OFFSET, VOLUME_OFFSET,
+};
 use spio_types::{Aabb3, Particle, SpioError, PARTICLE_BYTES};
 use spio_util::crc32;
 
@@ -195,21 +198,67 @@ fn chunk_crcs(header: &DataFileHeader, payload: &[u8]) -> Vec<u32> {
     payload.chunks(chunk_bytes.max(1)).map(crc32).collect()
 }
 
-/// Serialize a complete data file (header + payload + checksum footer for
-/// v2 headers) into one buffer.
+/// Assemble a complete data file from encoded records without decoding
+/// them: the header, then `payload[new] = records[perm[new]]` gathered as
+/// [`PARTICLE_BYTES`]-byte copies into one pre-sized buffer, then the
+/// checksum footer of v2 headers. Also returns the density and volume
+/// range of the records, taken in file order (§3.5's attribute ranges).
+///
+/// `records` and `perm` must each hold `header.particle_count` entries,
+/// and every index in `perm` must address a record; otherwise the result
+/// is a [`SpioError::Format`].
+pub fn assemble_data_file(
+    header: &DataFileHeader,
+    records: &[&[u8; PARTICLE_BYTES]],
+    perm: &[u32],
+) -> Result<(Vec<u8>, AttrRange), SpioError> {
+    let count = header.particle_count;
+    if records.len() as u64 != count || perm.len() as u64 != count {
+        return Err(SpioError::Format(format!(
+            "header declares {count} records, got {} records and a {}-entry permutation",
+            records.len(),
+            perm.len()
+        )));
+    }
+    // `count` records are in memory, so the file size cannot overflow.
+    let len = header.encoded_len().unwrap_or_default() as usize;
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&header.encode());
+    let mut range = AttrRange::empty();
+    for &old in perm {
+        let record = records.get(old as usize).ok_or_else(|| {
+            SpioError::Format(format!("permutation index {old} out of {count} records"))
+        })?;
+        out.extend_from_slice(*record);
+        range.include(
+            record_f64(record, DENSITY_OFFSET),
+            record_f64(record, VOLUME_OFFSET),
+        );
+    }
+    append_checksum_footer(header, &mut out);
+    debug_assert_eq!(out.len(), len);
+    Ok((out, range))
+}
+
+/// Serialize decoded particles, in the given order, as a complete data
+/// file — for tests and tools that hold [`Particle`]s. The writer
+/// assembles its files from encoded records with [`assemble_data_file`].
 pub fn encode_data_file(header: &DataFileHeader, particles: &[Particle]) -> Vec<u8> {
     debug_assert_eq!(header.particle_count as usize, particles.len());
     let mut out = header.encode();
-    out.reserve(particles.len() * PARTICLE_BYTES + header.num_chunks() as usize * 4);
-    for p in particles {
-        p.encode(&mut out);
-    }
+    out.extend_from_slice(&encode_particles(particles));
+    append_checksum_footer(header, &mut out);
+    out
+}
+
+/// Append the checksum footer of a v2 header to `file`, which holds the
+/// header and the whole payload; v1 files have no footer.
+fn append_checksum_footer(header: &DataFileHeader, file: &mut Vec<u8>) {
     if header.has_checksums() {
-        for crc in chunk_crcs(header, &out[HEADER_BYTES..]) {
-            out.extend_from_slice(&crc.to_le_bytes());
+        for crc in chunk_crcs(header, &file[HEADER_BYTES..]) {
+            file.extend_from_slice(&crc.to_le_bytes());
         }
     }
-    out
 }
 
 /// Parse a checksum footer — the [`footer_range`] slice of a data file —
@@ -341,6 +390,7 @@ pub fn lod_open_overhead(count: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spio_types::particle::record_table;
 
     fn sample_header() -> DataFileHeader {
         DataFileHeader::new(3, Aabb3::new([0.0, 1.0, 2.0], [3.0, 4.0, 5.0]), 0xDEADBEEF)
@@ -484,6 +534,67 @@ mod tests {
         let (s, e) = footer_range(&h).unwrap();
         let footer = decode_checksum_footer(&h, &bytes[s as usize..e as usize]).unwrap();
         assert_eq!(footer, [0x32B6_AEA1, 0x9BE1_27DE, 0xBC04_CE20]);
+    }
+
+    #[test]
+    fn assembly_gathers_records_in_permutation_order() {
+        let ps: Vec<Particle> = (0..10)
+            .map(|i| Particle::synthetic([i as f64 * 0.1, 0.5, 0.5], i))
+            .collect();
+        // Two messages, as an aggregator receives them from two senders.
+        let messages = [encode_particles(&ps[..4]), encode_particles(&ps[4..])];
+        let records = record_table(&messages).unwrap();
+        let perm: Vec<u32> = vec![7, 2, 9, 0, 4, 1, 8, 3, 6, 5];
+        let mut h = DataFileHeader::new(10, Aabb3::new([0.0; 3], [1.0; 3]), 1);
+        h.checksum_chunk = 3;
+        let (bytes, range) = assemble_data_file(&h, &records, &perm).unwrap();
+        let permuted: Vec<Particle> = perm.iter().map(|&i| ps[i as usize]).collect();
+        assert_eq!(bytes, encode_data_file(&h, &permuted));
+        let mut expect = AttrRange::empty();
+        for p in &permuted {
+            expect.include(p.density, p.volume);
+        }
+        assert_eq!(range, expect);
+        assert_eq!(verify_checksums(&bytes).unwrap(), 4);
+    }
+
+    #[test]
+    fn assembly_rejects_short_and_long_messages() {
+        let ps: Vec<Particle> = (0..5).map(|i| Particle::synthetic([0.0; 3], i)).collect();
+        let h = DataFileHeader::new(4, Aabb3::new([0.0; 3], [1.0; 3]), 1);
+        let perm: Vec<u32> = (0..4).collect();
+        for n in [3, 5] {
+            let messages = [encode_particles(&ps[..n])];
+            let records = record_table(&messages).unwrap();
+            assert!(
+                matches!(
+                    assemble_data_file(&h, &records, &perm),
+                    Err(SpioError::Format(_))
+                ),
+                "{n} records for a 4-record header"
+            );
+        }
+        // A record cut short never reaches the assembler.
+        let ragged = [encode_particles(&ps[..4])[..4 * PARTICLE_BYTES - 1].to_vec()];
+        assert!(record_table(&ragged).is_err());
+        // An index past the records is an error, not a panic.
+        let messages = [encode_particles(&ps[..4])];
+        let records = record_table(&messages).unwrap();
+        assert!(matches!(
+            assemble_data_file(&h, &records, &[0, 1, 2, 4]),
+            Err(SpioError::Format(_))
+        ));
+    }
+
+    #[test]
+    fn assembly_of_an_empty_partition_is_a_header_only_file() {
+        let h = DataFileHeader::new(0, Aabb3::new([0.0; 3], [1.0; 3]), 1);
+        let (bytes, range) = assemble_data_file(&h, &[], &[]).unwrap();
+        assert_eq!(bytes.len(), HEADER_BYTES);
+        let (h2, ps) = decode_data_file(&bytes).unwrap();
+        assert_eq!(h2, h);
+        assert!(ps.is_empty());
+        assert_eq!(range, AttrRange::empty());
     }
 
     #[test]

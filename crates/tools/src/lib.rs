@@ -19,7 +19,7 @@ use spio_core::shuffle::partition_seed;
 use spio_core::{DatasetReader, FsStorage, Storage};
 use spio_format::data_file::{decode_data_file, DataFileHeader};
 use spio_format::{data_file_name, FileEntry, LodParams, SpatialMetadata, META_FILE_NAME};
-use spio_types::{Aabb3, DomainDecomposition, GridDims, Particle, SpioError};
+use spio_types::{Aabb3, DomainDecomposition, GridDims, SpioError};
 
 /// Human-readable dataset summary.
 pub fn inspect<S: Storage>(storage: &S) -> Result<String, SpioError> {
@@ -333,7 +333,8 @@ pub fn lod_stats<S: Storage>(storage: &S, nreaders: usize) -> Result<String, Spi
 /// `spio_baselines::FppWriter`) into the spatially-aware format — the
 /// post-process conversion step the paper's native format avoids. Runs
 /// single-process: reads every rank file, bins particles by partition,
-/// shuffles, writes data + metadata files to `dst`.
+/// and assembles each partition's data file in LOD order with the
+/// writer's permutation and assembler, then writes the metadata file.
 pub fn convert_fpp<S1: Storage, S2: Storage>(
     src: &S1,
     nwriters: usize,
@@ -343,14 +344,15 @@ pub fn convert_fpp<S1: Storage, S2: Storage>(
 ) -> Result<String, SpioError> {
     use spio_baselines::FppWriter;
     use spio_core::grid::AggregationGrid;
-    use spio_core::shuffle::lod_shuffle;
-    use spio_format::data_file::encode_data_file;
-    use spio_format::meta::AttrRange;
+    use spio_core::shuffle::shuffle_permutation;
+    use spio_format::data_file::assemble_data_file;
+    use spio_types::particle::record_table;
 
     let decomp = DomainDecomposition::uniform(domain, GridDims::near_cubic(nwriters));
     factor.validate(decomp.dims)?;
     let grid = AggregationGrid::aligned(&decomp, factor)?;
-    let mut bins: Vec<Vec<Particle>> = vec![Vec::new(); grid.file_count()];
+    // Each partition's records, encoded, in rank-file order.
+    let mut bins: Vec<Vec<u8>> = vec![Vec::new(); grid.file_count()];
     let mut total_in: u64 = 0;
     for rank in 0..nwriters {
         for p in FppWriter::read_file(src, rank)? {
@@ -360,28 +362,28 @@ pub fn convert_fpp<S1: Storage, S2: Storage>(
                     p.id, p.position
                 ))
             })?;
-            bins[part].push(p);
+            let mut record = [0u8; spio_types::PARTICLE_BYTES];
+            p.encode(&mut record);
+            bins[part].extend_from_slice(&record);
             total_in += 1;
         }
     }
     let seed = 0x5910_C0DE;
     let mut entries = Vec::with_capacity(bins.len());
     let mut ranges = Vec::with_capacity(bins.len());
-    for (part_idx, mut bin) in bins.into_iter().enumerate() {
+    for (part_idx, bin) in bins.iter().enumerate() {
         let pseed = partition_seed(seed, part_idx);
-        lod_shuffle(&mut bin, pseed);
+        let records = record_table(std::slice::from_ref(bin))?;
+        let perm = shuffle_permutation(records.len(), pseed)?;
         let agg_rank = grid.partitions[part_idx].agg_rank;
         let bounds = grid.partitions[part_idx].bounds;
-        let header = DataFileHeader::new(bin.len() as u64, bounds, pseed);
-        dst.write_file(&data_file_name(agg_rank), &encode_data_file(&header, &bin))?;
-        let mut r = AttrRange::empty();
-        for p in &bin {
-            r.include(p.density, p.volume);
-        }
-        ranges.push(r);
+        let header = DataFileHeader::new(records.len() as u64, bounds, pseed);
+        let (bytes, range) = assemble_data_file(&header, &records, &perm)?;
+        dst.write_file(&data_file_name(agg_rank), &bytes)?;
+        ranges.push(range);
         entries.push(FileEntry {
             agg_rank: agg_rank as u64,
-            particle_count: bin.len() as u64,
+            particle_count: header.particle_count,
             bounds,
         });
     }

@@ -12,6 +12,18 @@ use crate::error::SpioError;
 /// Serialized size of one [`Particle`] in bytes: 15 × f64 + 1 × f32.
 pub const PARTICLE_BYTES: usize = 15 * 8 + 4;
 
+/// Byte offset of the position (3 × `f64`) within an encoded record.
+pub const POSITION_OFFSET: usize = 0;
+/// Byte offset of the stress tensor (9 × `f64`) within an encoded record.
+pub const STRESS_OFFSET: usize = 24;
+/// Byte offset of the density (`f64`) within an encoded record.
+pub const DENSITY_OFFSET: usize = 96;
+/// Byte offset of the volume (`f64`) within an encoded record.
+pub const VOLUME_OFFSET: usize = 104;
+/// Byte offset of the id (`u64`) within an encoded record; the `f32`
+/// material type fills the last 4 bytes.
+pub const ID_OFFSET: usize = 112;
+
 /// A single simulation particle (Uintah material-point-method style record).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Particle {
@@ -50,57 +62,84 @@ impl Particle {
         }
     }
 
-    /// Encode into `out`, little-endian, in the fixed on-disk field order:
-    /// position, stress, density, volume, id, type.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for v in self.position {
-            out.extend_from_slice(&v.to_le_bytes());
+    /// Encode into one record, little-endian, in the fixed on-disk field
+    /// order: position, stress, density, volume, id, type. Every `f64` and
+    /// the id land in their own 8-byte word slot.
+    pub fn encode(&self, record: &mut [u8; PARTICLE_BYTES]) {
+        let (words, tail) = record.as_chunks_mut::<8>();
+        let mut put = |offset: usize, v: f64| words[offset / 8] = v.to_le_bytes();
+        for (i, &v) in self.position.iter().enumerate() {
+            put(POSITION_OFFSET + 8 * i, v);
         }
-        for v in self.stress {
-            out.extend_from_slice(&v.to_le_bytes());
+        for (i, &v) in self.stress.iter().enumerate() {
+            put(STRESS_OFFSET + 8 * i, v);
         }
-        out.extend_from_slice(&self.density.to_le_bytes());
-        out.extend_from_slice(&self.volume.to_le_bytes());
-        out.extend_from_slice(&self.id.to_le_bytes());
-        out.extend_from_slice(&self.ptype.to_le_bytes());
+        put(DENSITY_OFFSET, self.density);
+        put(VOLUME_OFFSET, self.volume);
+        words[ID_OFFSET / 8] = self.id.to_le_bytes();
+        tail.copy_from_slice(&self.ptype.to_le_bytes());
     }
 
     /// Decode one particle record.
-    pub fn decode(bytes: &[u8; PARTICLE_BYTES]) -> Self {
-        let (words, tail) = bytes.as_chunks::<8>();
-        let f64_at = |i: usize| f64::from_le_bytes(words[i]);
-        let mut position = [0.0; 3];
-        for (i, p) in position.iter_mut().enumerate() {
-            *p = f64_at(i);
-        }
-        let mut stress = [0.0; 9];
-        for (i, s) in stress.iter_mut().enumerate() {
-            *s = f64_at(3 + i);
-        }
-        let density = f64_at(12);
-        let volume = f64_at(13);
-        let id = u64::from_le_bytes(words[14]);
-        let mut tb = [0u8; 4];
-        tb.copy_from_slice(tail);
-        let ptype = f32::from_le_bytes(tb);
+    pub fn decode(record: &[u8; PARTICLE_BYTES]) -> Self {
+        let f64_at = |offset: usize| record_f64(record, offset);
+        let &[.., t0, t1, t2, t3] = record;
         Particle {
-            position,
-            stress,
-            density,
-            volume,
-            id,
-            ptype,
+            position: record_position(record),
+            stress: std::array::from_fn(|i| f64_at(STRESS_OFFSET + 8 * i)),
+            density: f64_at(DENSITY_OFFSET),
+            volume: f64_at(VOLUME_OFFSET),
+            id: u64::from_le_bytes(record.as_chunks::<8>().0[ID_OFFSET / 8]),
+            ptype: f32::from_le_bytes([t0, t1, t2, t3]),
         }
     }
 }
 
+/// The `f64` at byte `offset` (a multiple of 8, such as
+/// [`DENSITY_OFFSET`]) of an encoded record, read without decoding the
+/// rest of it.
+pub fn record_f64(record: &[u8; PARTICLE_BYTES], offset: usize) -> f64 {
+    f64::from_le_bytes(record.as_chunks::<8>().0[offset / 8])
+}
+
+/// The position of an encoded record.
+pub fn record_position(record: &[u8; PARTICLE_BYTES]) -> [f64; 3] {
+    [0, 8, 16].map(|i| record_f64(record, POSITION_OFFSET + i))
+}
+
 /// Encode a slice of particles into a contiguous byte buffer.
 pub fn encode_particles(particles: &[Particle]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(particles.len() * PARTICLE_BYTES);
-    for p in particles {
-        p.encode(&mut out);
+    let mut out = vec![0u8; particles.len() * PARTICLE_BYTES];
+    let (records, _) = out.as_chunks_mut::<PARTICLE_BYTES>();
+    for (record, p) in records.iter_mut().zip(particles) {
+        p.encode(record);
     }
     out
+}
+
+/// One reference per encoded record across `messages`, in message order:
+/// an aggregator's view of the records it received, without decoding them.
+/// A message that is not a whole number of records is a
+/// [`SpioError::Format`].
+pub fn record_table<M: AsRef<[u8]>>(
+    messages: &[M],
+) -> Result<Vec<&[u8; PARTICLE_BYTES]>, SpioError> {
+    let total = messages.iter().map(|m| m.as_ref().len()).sum::<usize>() / PARTICLE_BYTES;
+    let mut table = Vec::with_capacity(total);
+    for m in messages {
+        let (records, tail) = m.as_ref().as_chunks::<PARTICLE_BYTES>();
+        if !tail.is_empty() {
+            return Err(ragged(m.as_ref().len()));
+        }
+        table.extend(records);
+    }
+    Ok(table)
+}
+
+fn ragged(len: usize) -> SpioError {
+    SpioError::Format(format!(
+        "{len} bytes is not a whole number of {PARTICLE_BYTES}-byte particle records"
+    ))
 }
 
 /// Decode a contiguous byte buffer into particles; a buffer that is not a
@@ -108,10 +147,7 @@ pub fn encode_particles(particles: &[Particle]) -> Vec<u8> {
 pub fn decode_particles(bytes: &[u8]) -> Result<Vec<Particle>, SpioError> {
     let (records, tail) = bytes.as_chunks::<PARTICLE_BYTES>();
     if !tail.is_empty() {
-        return Err(SpioError::Format(format!(
-            "{} bytes is not a whole number of {PARTICLE_BYTES}-byte particle records",
-            bytes.len()
-        )));
+        return Err(ragged(bytes.len()));
     }
     Ok(records.iter().map(Particle::decode).collect())
 }
@@ -131,10 +167,12 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let p = Particle::synthetic([0.1, -2.5, 3.75], 123456789);
-        let mut buf = Vec::new();
-        p.encode(&mut buf);
-        let record: [u8; PARTICLE_BYTES] = buf.try_into().unwrap();
+        let mut record = [0u8; PARTICLE_BYTES];
+        p.encode(&mut record);
         assert_eq!(Particle::decode(&record), p);
+        assert_eq!(record_position(&record), p.position);
+        assert_eq!(record_f64(&record, DENSITY_OFFSET), p.density);
+        assert_eq!(record_f64(&record, VOLUME_OFFSET), p.volume);
     }
 
     #[test]
@@ -158,5 +196,42 @@ mod tests {
     #[test]
     fn decode_particles_rejects_ragged_buffer() {
         assert!(decode_particles(&[0u8; PARTICLE_BYTES + 1]).is_err());
+    }
+
+    #[test]
+    fn record_table_spans_messages_and_rejects_ragged_ones() {
+        let ps: Vec<Particle> = (0..5).map(|i| Particle::synthetic([0.0; 3], i)).collect();
+        let messages = [
+            encode_particles(&ps[..2]),
+            Vec::new(),
+            encode_particles(&ps[2..]),
+        ];
+        let table = record_table(&messages).unwrap();
+        let ids: Vec<u64> = table.iter().map(|r| Particle::decode(r).id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        let ragged = [encode_particles(&ps), vec![0u8; PARTICLE_BYTES - 1]];
+        assert!(matches!(record_table(&ragged), Err(SpioError::Format(_))));
+    }
+
+    /// The field order is the on-disk format: pin one record's bytes.
+    #[test]
+    fn encoded_layout_is_fixed() {
+        let p = Particle::synthetic([1.0, 2.0, 3.0], 7);
+        let mut record = [0u8; PARTICLE_BYTES];
+        p.encode(&mut record);
+        assert_eq!(record[..8], 1.0f64.to_le_bytes());
+        assert_eq!(record[16..24], 3.0f64.to_le_bytes());
+        assert_eq!(
+            record[STRESS_OFFSET..STRESS_OFFSET + 8],
+            1.75f64.to_le_bytes()
+        );
+        assert_eq!(record[88..96], 9.75f64.to_le_bytes());
+        assert_eq!(
+            record[DENSITY_OFFSET..VOLUME_OFFSET],
+            p.density.to_le_bytes()
+        );
+        assert_eq!(record[VOLUME_OFFSET..ID_OFFSET], p.volume.to_le_bytes());
+        assert_eq!(record[ID_OFFSET..120], 7u64.to_le_bytes());
+        assert_eq!(record[120..], 3.0f32.to_le_bytes());
     }
 }
