@@ -89,23 +89,6 @@ impl DensityField {
         }
         out
     }
-
-    /// Root-mean-square difference against another field of the same
-    /// shape, with `other` scaled by `scale` first (for comparing LOD
-    /// prefixes against full data).
-    pub fn rms_diff(&self, other: &DensityField, scale: f64) -> f64 {
-        assert_eq!(self.dims, other.dims, "field shapes must match");
-        let se: f64 = self
-            .cells
-            .iter()
-            .zip(&other.cells)
-            .map(|(a, b)| {
-                let d = a - b * scale;
-                d * d
-            })
-            .sum();
-        (se / self.cells.len() as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -148,23 +131,5 @@ mod tests {
         assert_eq!(l.at([2, 2, 2]), -6.0);
         assert_eq!(l.at([1, 2, 2]), 1.0);
         assert_eq!(l.at([2, 3, 2]), 1.0);
-    }
-
-    #[test]
-    fn rms_diff_with_scaling() {
-        let mut a = DensityField::new(unit(), [2, 1, 1]);
-        let mut b = DensityField::new(unit(), [2, 1, 1]);
-        a.cells = vec![4.0, 8.0];
-        b.cells = vec![2.0, 4.0];
-        assert!(a.rms_diff(&b, 2.0) < 1e-12, "scaled halves match");
-        assert!(a.rms_diff(&b, 1.0) > 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "field shapes must match")]
-    fn rms_diff_shape_mismatch_panics() {
-        let a = DensityField::new(unit(), [2, 1, 1]);
-        let b = DensityField::new(unit(), [1, 2, 1]);
-        a.rms_diff(&b, 1.0);
     }
 }

@@ -11,16 +11,12 @@
 //! * [`density`] — density fields sampled onto uniform grids;
 //! * [`estimate`] — progressive statistics from LOD prefixes: estimate a
 //!   quantity from a cheap low-resolution read, with refinement as more
-//!   levels stream in;
-//! * [`histogram`] — attribute histograms, exact or LOD-estimated, with
-//!   bin bounds from the §3.5 attribute-range metadata.
+//!   levels stream in.
 
 pub mod density;
 pub mod estimate;
-pub mod histogram;
 pub mod neighbors;
 
 pub use density::DensityField;
 pub use estimate::ProgressiveEstimator;
-pub use histogram::{density_histogram, density_histogram_lod, Histogram};
 pub use neighbors::{k_nearest, radius_query};

@@ -11,7 +11,7 @@
 //! 3. written at (1,1,1) (file-per-process, 64 Ki files) with metadata —
 //!    selective, but paying the per-file open cost.
 
-use hpcsim::{simulate_box_read, MachineModel, ReadSimResult};
+use hpcsim::{simulate_read, MachineModel, ReadSimResult};
 use spio_core::grid::AggregationGrid;
 use spio_core::plan::{plan_box_read, plan_write_on_grid, DatasetShape};
 use spio_types::{Aabb3, DomainDecomposition, PartitionFactor, SpioError};
@@ -71,17 +71,17 @@ pub fn read_scaling(machine: &MachineModel, readers: &[usize]) -> Result<Vec<Poi
         out.push(Point {
             case: Case::AggWithMeta,
             readers: n,
-            result: simulate_box_read(&plan_box_read(&agg, n, true), machine),
+            result: simulate_read(&plan_box_read(&agg, n, true), machine),
         });
         out.push(Point {
             case: Case::AggWithoutMeta,
             readers: n,
-            result: simulate_box_read(&plan_box_read(&agg, n, false), machine),
+            result: simulate_read(&plan_box_read(&agg, n, false), machine),
         });
         out.push(Point {
             case: Case::FppWithMeta,
             readers: n,
-            result: simulate_box_read(&plan_box_read(&fpp, n, true), machine),
+            result: simulate_read(&plan_box_read(&fpp, n, true), machine),
         });
     }
     Ok(out)

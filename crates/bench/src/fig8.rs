@@ -8,7 +8,7 @@
 use crate::fig7::dataset_shape;
 #[cfg(test)]
 use crate::fig7::{PARTICLES_PER_WRITER, WRITER_PROCS};
-use hpcsim::{simulate_lod_read, MachineModel};
+use hpcsim::{simulate_read, MachineModel};
 use spio_core::plan::{plan_lod_read, DatasetShape};
 use spio_types::{PartitionFactor, SpioError};
 
@@ -41,7 +41,7 @@ pub fn lod_sweep(machine: &MachineModel) -> Result<Vec<Point>, SpioError> {
     Ok((1..=max)
         .map(|level| {
             let plan = plan_lod_read(&shape, READERS, level);
-            let r = simulate_lod_read(&plan, machine);
+            let r = simulate_read(&plan, machine);
             Point {
                 level,
                 time: r.time,

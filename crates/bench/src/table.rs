@@ -33,11 +33,6 @@ pub fn secs(t: f64) -> String {
     format!("{t:.3}")
 }
 
-/// Format a throughput in GB/s.
-pub fn gbs(bytes_per_sec: f64) -> String {
-    format!("{:.2}", bytes_per_sec / 1e9)
-}
-
 /// Format a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -50,7 +45,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(secs(1.23456), "1.235");
-        assert_eq!(gbs(98.0e9), "98.00");
         assert_eq!(pct(0.256), "25.6%");
     }
 

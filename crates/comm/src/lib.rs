@@ -74,13 +74,8 @@ impl SendHandle {
 }
 
 /// Completion handle for a non-blocking receive posted with [`Comm::irecv`].
-///
-/// Dropping an unwaited handle runs its cleanup hook (if any), which the
-/// thread-backed communicator uses to release the mailbox reservation the
-/// posted receive made — a dropped wild receive must not leave state behind.
 pub struct RecvHandle {
-    wait_fn: Option<RecvWaitFn>,
-    cleanup: Option<Box<dyn FnOnce() + Send>>,
+    wait_fn: RecvWaitFn,
 }
 
 /// Boxed completion closure for [`RecvHandle`]: blocks, then yields the
@@ -91,17 +86,8 @@ impl RecvHandle {
     /// A handle whose [`RecvHandle::wait`] runs `f`.
     pub fn from_fn(f: impl FnOnce() -> Result<Vec<u8>, SpioError> + Send + 'static) -> Self {
         RecvHandle {
-            wait_fn: Some(Box::new(f)),
-            cleanup: None,
+            wait_fn: Box::new(f),
         }
-    }
-
-    /// Attach a hook that runs if the handle is dropped without being
-    /// waited. The wait path is expected to perform its own teardown, so a
-    /// completed wait disarms the hook.
-    pub fn on_unwaited_drop(mut self, f: impl FnOnce() + Send + 'static) -> Self {
-        self.cleanup = Some(Box::new(f));
-        self
     }
 
     /// Block until the matching message arrives and return its payload.
@@ -109,22 +95,8 @@ impl RecvHandle {
     /// Returns [`SpioError::Comm`] if the receive times out (deadlocked
     /// communication schedule) instead of panicking, so callers can unwind
     /// their collective participation cleanly.
-    pub fn wait(mut self) -> Result<Vec<u8>, SpioError> {
-        self.cleanup.take();
-        match self.wait_fn.take() {
-            Some(f) => f(),
-            None => Err(SpioError::Comm("receive handle already consumed".into())),
-        }
-    }
-}
-
-impl Drop for RecvHandle {
-    fn drop(&mut self) {
-        if self.wait_fn.is_some() {
-            if let Some(f) = self.cleanup.take() {
-                f();
-            }
-        }
+    pub fn wait(self) -> Result<Vec<u8>, SpioError> {
+        (self.wait_fn)()
     }
 }
 

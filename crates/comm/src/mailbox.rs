@@ -19,18 +19,8 @@ pub const RECV_DEADLOCK_TIMEOUT: Duration = Duration::from_secs(120);
 type QueueMap = HashMap<(Rank, Tag), VecDeque<Vec<u8>>>;
 
 #[derive(Default)]
-struct Inner {
-    queues: QueueMap,
-    /// Outstanding posted receives per `(src, tag)`: an `irecv` registers a
-    /// reservation so finalize can distinguish "message arrived but nobody
-    /// asked" (a leak) from "receive posted, message in flight". Waiting or
-    /// dropping the handle releases the reservation.
-    reserved: HashMap<(Rank, Tag), usize>,
-}
-
-#[derive(Default)]
 pub struct Mailbox {
-    inner: Mutex<Inner>,
+    queues: Mutex<QueueMap>,
     arrived: Condvar,
 }
 
@@ -41,27 +31,9 @@ impl Mailbox {
 
     /// Deposit a message from `src` with `tag`.
     pub fn push(&self, src: Rank, tag: Tag, data: Vec<u8>) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        inner.queues.entry((src, tag)).or_default().push_back(data);
+        let mut queues = lock_unpoisoned(&self.queues);
+        queues.entry((src, tag)).or_default().push_back(data);
         self.arrived.notify_all();
-    }
-
-    /// Register a posted (not yet completed) receive for `(src, tag)`.
-    pub fn reserve(&self, src: Rank, tag: Tag) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        *inner.reserved.entry((src, tag)).or_insert(0) += 1;
-    }
-
-    /// Release a reservation made by [`Mailbox::reserve`] — called when the
-    /// posted receive completes or its handle is dropped unwaited.
-    pub fn unreserve(&self, src: Rank, tag: Tag) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        if let Some(n) = inner.reserved.get_mut(&(src, tag)) {
-            *n -= 1;
-            if *n == 0 {
-                inner.reserved.remove(&(src, tag));
-            }
-        }
     }
 
     /// Pop the next message matching `(src, tag)`, blocking until one
@@ -85,12 +57,12 @@ impl Mailbox {
         timeout: Duration,
     ) -> Result<Vec<u8>, SpioError> {
         let deadline = Instant::now() + timeout;
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut queues = lock_unpoisoned(&self.queues);
         loop {
-            if let Some(queue) = inner.queues.get_mut(&(src, tag)) {
+            if let Some(queue) = queues.get_mut(&(src, tag)) {
                 if let Some(msg) = queue.pop_front() {
                     if queue.is_empty() {
-                        inner.queues.remove(&(src, tag));
+                        queues.remove(&(src, tag));
                     }
                     return Ok(msg);
                 }
@@ -102,49 +74,18 @@ impl Mailbox {
                      {timeout:?} — communication schedule deadlock"
                 )));
             }
-            let (guard, _) = wait_timeout_unpoisoned(&self.arrived, inner, deadline - now);
-            inner = guard;
+            let (guard, _) = wait_timeout_unpoisoned(&self.arrived, queues, deadline - now);
+            queues = guard;
         }
-    }
-
-    /// Non-blocking probe: number of queued messages for `(src, tag)`.
-    pub fn queued(&self, src: Rank, tag: Tag) -> usize {
-        lock_unpoisoned(&self.inner)
-            .queues
-            .get(&(src, tag))
-            .map_or(0, VecDeque::len)
-    }
-
-    /// Total queued messages (test/diagnostic aid).
-    pub fn total_queued(&self) -> usize {
-        lock_unpoisoned(&self.inner)
-            .queues
-            .values()
-            .map(VecDeque::len)
-            .sum()
     }
 
     /// Messages still sitting in the mailbox, as `(src, tag, byte_len)`
     /// triples sorted by key — the leak report finalize checks.
     pub fn leftovers(&self) -> Vec<(Rank, Tag, usize)> {
-        let inner = lock_unpoisoned(&self.inner);
-        let mut out: Vec<(Rank, Tag, usize)> = inner
-            .queues
+        let queues = lock_unpoisoned(&self.queues);
+        let mut out: Vec<(Rank, Tag, usize)> = queues
             .iter()
             .flat_map(|(&(src, tag), q)| q.iter().map(move |m| (src, tag, m.len())))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Posted receives never completed (reservation still held), as
-    /// `(src, tag, count)` triples sorted by key.
-    pub fn dangling_receives(&self) -> Vec<(Rank, Tag, usize)> {
-        let inner = lock_unpoisoned(&self.inner);
-        let mut out: Vec<(Rank, Tag, usize)> = inner
-            .reserved
-            .iter()
-            .map(|(&(src, tag), &n)| (src, tag, n))
             .collect();
         out.sort_unstable();
         out
@@ -165,7 +106,7 @@ mod tests {
         assert_eq!(mb.pop_blocking(0, 1, 7).unwrap(), vec![1]);
         assert_eq!(mb.pop_blocking(0, 1, 7).unwrap(), vec![2]);
         assert_eq!(mb.pop_blocking(0, 2, 7).unwrap(), vec![99]);
-        assert_eq!(mb.total_queued(), 0);
+        assert!(mb.leftovers().is_empty());
     }
 
     #[test]
@@ -207,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn queued_probe() {
-        let mb = Mailbox::new();
-        assert_eq!(mb.queued(0, 0), 0);
-        mb.push(0, 0, vec![]);
-        mb.push(0, 0, vec![]);
-        assert_eq!(mb.queued(0, 0), 2);
-    }
-
-    #[test]
     fn leftovers_report_unreceived_messages() {
         let mb = Mailbox::new();
         assert!(mb.leftovers().is_empty());
@@ -228,19 +160,5 @@ mod tests {
         );
         mb.pop_blocking(1, 0, 0x11).unwrap();
         assert_eq!(mb.leftovers(), vec![(2, 0x10, 4), (2, 0x10, 6)]);
-    }
-
-    #[test]
-    fn reservations_track_posted_receives() {
-        let mb = Mailbox::new();
-        mb.reserve(4, 0x20);
-        mb.reserve(4, 0x20);
-        mb.reserve(1, 0x21);
-        assert_eq!(mb.dangling_receives(), vec![(1, 0x21, 1), (4, 0x20, 2)]);
-        mb.unreserve(4, 0x20);
-        mb.unreserve(1, 0x21);
-        assert_eq!(mb.dangling_receives(), vec![(4, 0x20, 1)]);
-        mb.unreserve(4, 0x20);
-        assert!(mb.dangling_receives().is_empty());
     }
 }

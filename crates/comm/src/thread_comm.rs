@@ -76,15 +76,8 @@ impl Comm for ThreadComm {
     fn irecv(&self, src: Rank, tag: Tag) -> RecvHandle {
         self.check_peer(src);
         let mailbox = Arc::clone(&self.shared.mailboxes[self.rank]);
-        mailbox.reserve(src, tag);
         let me = self.rank;
-        let cleanup_mb = Arc::clone(&mailbox);
-        RecvHandle::from_fn(move || {
-            let got = mailbox.pop_blocking(me, src, tag);
-            mailbox.unreserve(src, tag);
-            got
-        })
-        .on_unwaited_drop(move || cleanup_mb.unreserve(src, tag))
+        RecvHandle::from_fn(move || mailbox.pop_blocking(me, src, tag))
     }
 
     fn barrier(&self) {

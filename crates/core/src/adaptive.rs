@@ -12,7 +12,7 @@
 //! participate in the subsequent phases at all.
 
 use crate::grid::AggregationGrid;
-use spio_types::{DomainDecomposition, PartitionFactor, Rank, SpioError};
+use spio_types::{DomainDecomposition, PartitionFactor, SpioError};
 
 /// Builder for §6's adaptive aggregation grid (and the §7 rebalanced
 /// variant).
@@ -168,13 +168,6 @@ impl AdaptiveGrid {
         }
         let ideal = total as f64 / loads.len() as f64;
         loads.iter().copied().max().unwrap_or(0) as f64 / ideal
-    }
-
-    /// Does `rank` participate in the write at all? (§6: "processes without
-    /// particles do not participate in the subsequent stages".) A rank
-    /// participates if it holds particles or aggregates a partition.
-    pub fn participates(grid: &AggregationGrid, rank: Rank, count: u64) -> bool {
-        count > 0 || grid.aggregated_partition(rank).is_some()
     }
 }
 
@@ -349,17 +342,17 @@ mod tests {
     }
 
     #[test]
-    fn participation_rule() {
+    fn aggregators_may_sit_on_empty_ranks() {
         let d = decomp();
         let counts: Vec<u64> = (0..d.nprocs())
             .map(|r| if d.patch_coords(r)[0] < 2 { 50 } else { 0 })
             .collect();
         let g = AdaptiveGrid::build(&d, PartitionFactor::new(2, 2, 1), &counts).unwrap();
         // Rank 16 holds no particles but aggregates partition 1.
-        assert!(AdaptiveGrid::participates(&g, 16, 0));
+        assert!(g.aggregated_partition(16).is_some());
         // Rank 31 holds nothing and aggregates nothing.
-        assert!(!AdaptiveGrid::participates(&g, 31, 0));
+        assert!(g.aggregated_partition(31).is_none());
         // Rank 0 both holds particles and aggregates.
-        assert!(AdaptiveGrid::participates(&g, 0, 50));
+        assert!(g.aggregated_partition(0).is_some());
     }
 }

@@ -102,13 +102,6 @@ pub struct ChaosStats {
     pub budget_faults: u64,
 }
 
-impl ChaosStats {
-    /// Total operations that returned an injected error.
-    pub fn total_faults(&self) -> u64 {
-        self.transient_faults + self.persistent_faults + self.torn_writes + self.budget_faults
-    }
-}
-
 #[derive(Debug)]
 struct ChaosState {
     rng: Rng,

@@ -37,8 +37,8 @@ pub use chaos::{ChaosConfig, ChaosStats, ChaosStorage};
 pub use grid::{AggregationGrid, Partition};
 pub use plan::{ReadPlan, WritePlan};
 pub use reader::{
-    fetch_file, BoxQueryReader, DatasetReader, FileOutcome, LodCursor, LodReader, PartialRead,
-    Predicate, PrefixFile, RestartReader,
+    fetch_file, BoxQueryReader, DatasetReader, FileOutcome, LodCursor, PartialRead, Predicate,
+    PrefixFile,
 };
 pub use retry::{RetryPolicy, RetryStorage};
 pub use shuffle::LodOrder;

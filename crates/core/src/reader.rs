@@ -29,7 +29,7 @@ use spio_format::data_file::{
 };
 use spio_format::{LodParams, SpatialMetadata, META_FILE_NAME};
 use spio_trace::Trace;
-use spio_types::{Aabb3, DomainDecomposition, GridDims, Particle, Rank, SpioError, PARTICLE_BYTES};
+use spio_types::{Aabb3, GridDims, Particle, Rank, SpioError, PARTICLE_BYTES};
 use spio_util::Crc32;
 use std::time::Instant;
 
@@ -515,34 +515,6 @@ impl BoxQueryReader {
     }
 }
 
-/// Restart reads: load a checkpoint back into a (possibly different-sized)
-/// simulation. Each rank of the new job box-queries its own patch, so the
-/// dataset redistributes itself onto the new decomposition — the paper's
-/// "reads with different core counts than were used to write the data"
-/// (§2.1), applied to checkpoint/restart.
-pub struct RestartReader;
-
-impl RestartReader {
-    /// Collective: rank `comm.rank()` of the new job receives exactly the
-    /// particles inside its patch of `new_decomp`.
-    pub fn read<C: Comm, S: Storage>(
-        comm: &C,
-        new_decomp: &DomainDecomposition,
-        storage: &S,
-    ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
-        if comm.size() != new_decomp.nprocs() {
-            return Err(SpioError::Config(format!(
-                "communicator size {} != new decomposition {}",
-                comm.size(),
-                new_decomp.nprocs()
-            )));
-        }
-        let reader = DatasetReader::open(storage)?;
-        let patch = new_decomp.patch_bounds(comm.rank());
-        reader.read_box(storage, &patch)
-    }
-}
-
 /// Progressive level-of-detail reads over a set of files (§4, §5.4).
 ///
 /// The cursor tracks a per-file prefix offset. Each level extends every
@@ -556,6 +528,8 @@ pub struct LodCursor {
     lod: LodParams,
     /// Number of reader processes `n` in the LOD formula.
     nreaders: u64,
+    /// Levels available (dataset-wide), fixed when the cursor is built.
+    num_levels: u32,
     next_level: u32,
     trace: Trace,
     rank: Rank,
@@ -577,6 +551,7 @@ impl LodCursor {
             dataset_total: meta.total_particles,
             lod: meta.lod,
             nreaders: nreaders as u64,
+            num_levels: meta.lod.num_levels(nreaders as u64, meta.total_particles),
             next_level: 0,
             trace: Trace::off(),
             rank: 0,
@@ -597,58 +572,14 @@ impl LodCursor {
         (rank..meta.entries.len()).step_by(nreaders).collect()
     }
 
-    /// Spatially coherent assignment: order the files along a Z-order
-    /// curve of their box centers and hand each reader a contiguous run.
-    /// Each reader's files then cover a compact region — better for
-    /// downstream per-reader spatial processing than round-robin, at the
-    /// same per-reader file count (±1).
-    pub fn files_for_reader_zorder(
-        meta: &SpatialMetadata,
-        nreaders: usize,
-        rank: usize,
-    ) -> Vec<usize> {
-        const RES: f64 = (1u64 << 20) as f64;
-        let e = meta.domain.extent();
-        let coords: Vec<[u32; 3]> = meta
-            .entries
-            .iter()
-            .map(|entry| {
-                let c = entry.bounds.center();
-                let mut q = [0u32; 3];
-                for a in 0..3 {
-                    let t = if e[a] > 0.0 {
-                        ((c[a] - meta.domain.lo[a]) / e[a]).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    };
-                    q[a] = (t * (RES - 1.0)) as u32;
-                }
-                q
-            })
-            .collect();
-        let order = spio_types::zorder::zorder_permutation(&coords);
-        // Contiguous blocks of the curve, sized as evenly as possible.
-        let n = order.len();
-        let base = n / nreaders;
-        let extra = n % nreaders;
-        let start = rank * base + rank.min(extra);
-        let len = base + usize::from(rank < extra);
-        order[start..start + len].to_vec()
-    }
-
     /// Number of levels available (dataset-wide).
     pub fn num_levels(&self) -> u32 {
-        self.lod.num_levels(self.nreaders, self.dataset_total)
+        self.num_levels
     }
 
     /// The next level this cursor would read.
     pub fn next_level(&self) -> u32 {
         self.next_level
-    }
-
-    /// Particles accumulated so far across this cursor's files.
-    pub fn particles_loaded(&self) -> u64 {
-        self.files.iter().map(|f| f.loaded).sum()
     }
 
     /// Read the next level: extend every file prefix to its share of the
@@ -661,7 +592,7 @@ impl LodCursor {
         let t0 = Instant::now();
         let mut stats = ReadStats::default();
         let mut out = Vec::new();
-        if self.next_level >= self.num_levels() {
+        if self.next_level >= self.num_levels {
             stats.time = t0.elapsed();
             return Ok((out, stats));
         }
@@ -688,7 +619,7 @@ impl LodCursor {
     ) -> Result<(Vec<Particle>, ReadStats), SpioError> {
         let mut out = Vec::new();
         let mut all_stats = Vec::new();
-        while self.next_level <= level && self.next_level < self.num_levels() {
+        while self.next_level <= level && self.next_level < self.num_levels {
             let (ps, stats) = self.read_next_level(storage)?;
             out.extend(ps);
             all_stats.push(stats);
@@ -707,23 +638,6 @@ impl DatasetReader {
     pub fn lod_box_cursor(&self, query: &Aabb3, nreaders: usize) -> LodCursor {
         let files = self.meta.files_intersecting(query);
         LodCursor::new(&self.meta, &files, nreaders).with_trace(self.trace.clone(), self.rank)
-    }
-}
-
-/// Convenience wrapper: a full-dataset progressive reader for one rank of a
-/// reader group, with files assigned round-robin.
-pub struct LodReader {
-    pub cursor: LodCursor,
-}
-
-impl LodReader {
-    /// Open the dataset and build this rank's cursor.
-    pub fn open<S: Storage>(storage: &S, nreaders: usize, rank: usize) -> Result<Self, SpioError> {
-        let reader = DatasetReader::open(storage)?;
-        let indices = LodCursor::files_for_reader(&reader.meta, nreaders, rank);
-        Ok(LodReader {
-            cursor: LodCursor::new(&reader.meta, &indices, nreaders),
-        })
     }
 }
 
@@ -817,22 +731,31 @@ mod tests {
 
     #[test]
     fn parallel_box_readers_partition_the_domain() {
+        // Written by 16 ranks, read back by fewer: the dataset redistributes
+        // onto each reader count's near-cubic split of the domain.
         let storage = build_dataset(20);
-        let results = run_threaded_collect(4, move |comm| {
-            let (ps, stats) = BoxQueryReader::read(&comm, &storage.clone(), true).unwrap();
-            (ps, stats.files_opened)
-        })
-        .unwrap();
-        let total: usize = results.iter().map(|(ps, _)| ps.len()).sum();
-        assert_eq!(total, 320, "readers together recover the dataset");
-        // Reader subdomains are disjoint: no particle appears twice.
-        let mut ids: Vec<u64> = results
-            .iter()
-            .flat_map(|(ps, _)| ps.iter().map(|p| p.id))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 320);
+        for nreaders in [2usize, 4, 8] {
+            let s = storage.clone();
+            let results = run_threaded_collect(nreaders, move |comm| {
+                let (ps, _) = BoxQueryReader::read(&comm, &s, true).unwrap();
+                let domain = DatasetReader::open(&s).unwrap().meta.domain;
+                let query = BoxQueryReader::reader_query(&domain, comm.size(), comm.rank());
+                // Everything landed in this reader's subdomain.
+                assert!(ps.iter().all(|p| query.contains(p.position)));
+                ps.iter().map(|p| p.id).collect::<Vec<u64>>()
+            })
+            .unwrap();
+            let total: usize = results.iter().map(Vec::len).sum();
+            assert_eq!(
+                total, 320,
+                "{nreaders} readers together recover the dataset"
+            );
+            // Reader subdomains are disjoint: no particle appears twice.
+            let mut ids: Vec<u64> = results.into_iter().flatten().collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), 320, "{nreaders} readers");
+        }
     }
 
     #[test]
@@ -885,56 +808,16 @@ mod tests {
     fn multi_reader_lod_covers_all_files() {
         let storage = build_dataset(32);
         let results = run_threaded_collect(2, move |comm| {
-            let mut reader = LodReader::open(&storage.clone(), 2, comm.rank()).unwrap();
-            let levels = reader.cursor.num_levels();
-            let (ps, _) = reader
-                .cursor
-                .read_through_level(&storage.clone(), levels - 1)
-                .unwrap();
+            let meta = DatasetReader::open(&storage).unwrap().meta;
+            let files = LodCursor::files_for_reader(&meta, 2, comm.rank());
+            let mut cursor = LodCursor::new(&meta, &files, 2);
+            let levels = cursor.num_levels();
+            let (ps, _) = cursor.read_through_level(&storage, levels - 1).unwrap();
             ps
         })
         .unwrap();
         let total: usize = results.iter().map(Vec::len).sum();
         assert_eq!(total, 512);
-    }
-
-    #[test]
-    fn restart_redistributes_onto_different_rank_counts() {
-        let storage = build_dataset(25); // written by 16 ranks, 400 total
-        for new_ranks in [2usize, 4, 8] {
-            let s = storage.clone();
-            let new_decomp = DomainDecomposition::uniform(
-                Aabb3::new([0.0; 3], [1.0; 3]),
-                GridDims::near_cubic(new_ranks),
-            );
-            let nd = new_decomp.clone();
-            let per_rank = run_threaded_collect(new_ranks, move |comm| {
-                let (ps, _) = RestartReader::read(&comm, &nd, &s).unwrap();
-                // Everything landed in this rank's patch.
-                let b = nd.patch_bounds(comm.rank());
-                assert!(ps.iter().all(|p| b.contains(p.position)));
-                ps.iter().map(|p| p.id).collect::<Vec<u64>>()
-            })
-            .unwrap();
-            let mut all: Vec<u64> = per_rank.into_iter().flatten().collect();
-            all.sort_unstable();
-            all.dedup();
-            assert_eq!(all.len(), 400, "restart onto {new_ranks} ranks");
-        }
-    }
-
-    #[test]
-    fn restart_rejects_mismatched_world() {
-        let storage = build_dataset(10);
-        let res = run_threaded_collect(3, move |comm| {
-            let nd = DomainDecomposition::uniform(
-                Aabb3::new([0.0; 3], [1.0; 3]),
-                GridDims::new(2, 1, 1), // needs 2 ranks, world is 3
-            );
-            RestartReader::read(&comm, &nd, &storage.clone()).map(|_| ())
-        })
-        .unwrap();
-        assert!(res.iter().all(Result::is_err));
     }
 
     #[test]
@@ -957,64 +840,6 @@ mod tests {
         assert!(loaded.iter().all(|p| quadrant.contains(p.position)));
         // Far less I/O than the full dataset.
         assert!(bytes < storage.total_bytes() / 3);
-    }
-
-    #[test]
-    fn zorder_assignment_is_complete_and_more_compact() {
-        // A 16-file dataset: file-per-process layout of a 4×4×1 grid.
-        let storage = MemStorage::new();
-        let s2 = storage.clone();
-        let d =
-            DomainDecomposition::uniform(Aabb3::new([0.0; 3], [1.0; 3]), GridDims::new(4, 4, 1));
-        run_threaded_collect(16, move |comm| {
-            let b = d.patch_bounds(comm.rank());
-            let ps: Vec<Particle> = (0..20)
-                .map(|i| {
-                    Particle::synthetic(
-                        [b.lo[0] + 0.01 + (i as f64) * 0.01, b.center()[1], 0.5],
-                        ((comm.rank() as u64) << 32) | i,
-                    )
-                })
-                .collect();
-            crate::writer::SpatialWriter::new(
-                d.clone(),
-                crate::writer::WriterConfig::new(PartitionFactor::new(1, 1, 1)),
-            )
-            .write(&comm, &ps, &s2)
-            .unwrap();
-        })
-        .unwrap();
-        let r = DatasetReader::open(&storage).unwrap();
-        let meta = &r.meta;
-        // Completeness: both assignments cover every file exactly once.
-        for nreaders in [1usize, 2, 3, 5, 16] {
-            let mut z: Vec<usize> = (0..nreaders)
-                .flat_map(|k| LodCursor::files_for_reader_zorder(meta, nreaders, k))
-                .collect();
-            z.sort_unstable();
-            assert_eq!(z, (0..meta.entries.len()).collect::<Vec<_>>());
-        }
-        // Compactness: with 2 readers over 16 tiles, each z-order reader's
-        // 8 files form a half-plane (union volume 0.5); round-robin
-        // scatters every other tile across the whole domain (union 1.0).
-        let union_volume = |files: &[usize]| {
-            files
-                .iter()
-                .map(|&i| meta.entries[i].bounds)
-                .reduce(|a, b| a.union(&b))
-                .unwrap()
-                .volume()
-        };
-        let z0 = LodCursor::files_for_reader_zorder(meta, 2, 0);
-        let rr0 = LodCursor::files_for_reader(meta, 2, 0);
-        assert!(
-            union_volume(&z0) < 0.75 * union_volume(&rr0),
-            "z-order {:?} ({}) vs round-robin {:?} ({})",
-            z0,
-            union_volume(&z0),
-            rr0,
-            union_volume(&rr0)
-        );
     }
 
     #[test]

@@ -94,9 +94,16 @@ impl LodParams {
 
     /// Number of non-empty levels for a dataset of `total` particles read by
     /// `n` processes: the smallest `L` with `cumulative_size(n, L-1) ≥ total`.
+    /// Zero readers read nothing, so they see no levels. For `S = 1` the
+    /// levels are equal-sized and the count is `⌈total / (n·P)⌉`,
+    /// saturating at `u32::MAX`.
     pub fn num_levels(&self, n: u64, total: u64) -> u32 {
-        if total == 0 {
+        let first = self.p.saturating_mul(n);
+        if total == 0 || first == 0 {
             return 0;
+        }
+        if self.s == 1 {
+            return u32::try_from(total.div_ceil(first)).unwrap_or(u32::MAX);
         }
         let mut l = 0u32;
         while self.cumulative_size(n, l) < total {
@@ -220,7 +227,41 @@ mod tests {
     }
 
     #[test]
-    fn empty_dataset_has_no_levels() {
+    fn empty_dataset_or_zero_readers_have_no_levels() {
         assert_eq!(LodParams::default().num_levels(4, 0), 0);
+        assert_eq!(LodParams::default().num_levels(0, 100), 0);
+        assert_eq!(LodParams::new(5, 1).unwrap().num_levels(0, 100), 0);
+    }
+
+    #[test]
+    fn s_equals_one_closed_form_matches_the_level_walk() {
+        // The definition: the smallest L with cumulative_size(n, L-1) ≥ total.
+        let walk = |lod: &LodParams, n: u64, total: u64| {
+            if total == 0 {
+                return 0;
+            }
+            let mut l = 0u32;
+            while lod.cumulative_size(n, l) < total {
+                l += 1;
+            }
+            l + 1
+        };
+        for p in 1..=5 {
+            let lod = LodParams::new(p, 1).unwrap();
+            for n in 1..=4 {
+                for total in 0..=60 {
+                    assert_eq!(
+                        lod.num_levels(n, total),
+                        walk(&lod, n, total),
+                        "P={p} n={n} total={total}"
+                    );
+                }
+            }
+        }
+        // Saturates instead of wrapping when the count exceeds u32.
+        assert_eq!(
+            LodParams::new(1, 1).unwrap().num_levels(1, u64::MAX),
+            u32::MAX
+        );
     }
 }

@@ -30,13 +30,11 @@ pub mod filesystem;
 pub mod machine;
 pub mod network;
 pub mod read_sim;
-pub mod topology;
 pub mod write_sim;
 
 pub use event_sim::{simulate_spio_write_events, EventWriteResult, ServerPool};
 pub use machine::{mira, theta, workstation, MachineModel};
-pub use read_sim::{simulate_box_read, simulate_lod_read, simulate_read, ReadSimResult};
-pub use topology::{mean_hops, Dragonfly, Topology, Torus5D};
+pub use read_sim::{simulate_read, ReadSimResult};
 pub use write_sim::{
     simulate_fpp_write, simulate_hdf5_shared_write, simulate_shared_file_write,
     simulate_spio_write, simulate_spio_write_node_contended, WriteBreakdown,

@@ -77,14 +77,6 @@ impl NetModel {
         rounds * self.alpha + (n as f64 * block as f64) / self.rank_bw
     }
 
-    /// Dissemination barrier: log2(n) latency rounds.
-    pub fn barrier_time(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        (n as f64).log2().ceil() * self.alpha
-    }
-
     /// Metadata exchange: `g` tiny messages into one aggregator, latency
     /// dominated.
     pub fn meta_exchange_time(&self, g: usize) -> f64 {
@@ -154,8 +146,6 @@ mod tests {
     #[test]
     fn collective_costs_grow_logarithmically() {
         let n = net();
-        assert_eq!(n.barrier_time(1), 0.0);
-        assert!(n.barrier_time(1024) > n.barrier_time(16));
         assert!(n.allgather_time(1024, 8) > n.allgather_time(16, 8));
         assert_eq!(n.allgather_time(1, 8), 0.0);
     }

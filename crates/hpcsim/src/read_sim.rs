@@ -66,16 +66,6 @@ pub fn simulate_read(plan: &ReadPlan, machine: &MachineModel) -> ReadSimResult {
     }
 }
 
-/// Convenience: simulate a Fig. 7-style box read.
-pub fn simulate_box_read(plan: &ReadPlan, machine: &MachineModel) -> ReadSimResult {
-    simulate_read(plan, machine)
-}
-
-/// Convenience: simulate a Fig. 8-style LOD read.
-pub fn simulate_lod_read(plan: &ReadPlan, machine: &MachineModel) -> ReadSimResult {
-    simulate_read(plan, machine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -41,27 +41,27 @@ pub mod metric_names {
     pub const INFLIGHT: &str = "serve.inflight";
 }
 
+/// Maximum queries admitted concurrently (the admission gate's bound).
+const MAX_INFLIGHT: usize = 8;
+
+/// Independently locked shards of the block cache.
+const CACHE_SHARDS: usize = 8;
+
 /// Engine sizing knobs. The defaults suit the desk-scale datasets the
 /// benches use; see docs/SERVING.md for tuning guidance.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Worker threads decoding and filtering files.
     pub workers: usize,
-    /// Maximum queries admitted concurrently.
-    pub max_inflight: usize,
     /// Decoded-payload budget of the block cache, in bytes.
     pub cache_bytes: u64,
-    /// Lock shards in the block cache.
-    pub cache_shards: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
-            max_inflight: 8,
             cache_bytes: 64 << 20,
-            cache_shards: 8,
         }
     }
 }
@@ -253,7 +253,7 @@ impl<S: Storage + 'static> QueryEngine<S> {
         let index = SpatialIndex::build(&meta);
         let lod_levels = meta.lod.num_levels(1, meta.total_particles);
         let shared = Arc::new(EngineShared {
-            cache: BlockCache::new(config.cache_bytes, config.cache_shards, &metrics),
+            cache: BlockCache::new(config.cache_bytes, CACHE_SHARDS, &metrics),
             storage,
             index,
             lod_levels,
@@ -266,7 +266,7 @@ impl<S: Storage + 'static> QueryEngine<S> {
         Ok(QueryEngine {
             shared,
             pool: WorkerPool::new(config.workers),
-            gate: AdmissionGate::new(config.max_inflight, metrics.gauge(metric_names::INFLIGHT)),
+            gate: AdmissionGate::new(MAX_INFLIGHT, metrics.gauge(metric_names::INFLIGHT)),
         })
     }
 
@@ -534,7 +534,6 @@ mod tests {
             storage.clone(),
             ServeConfig {
                 workers: 4,
-                max_inflight: 4,
                 ..ServeConfig::default()
             },
         )
@@ -543,8 +542,9 @@ mod tests {
             .iter()
             .map(|q| encode_particles(&serial.read_box(&storage, q).unwrap().0))
             .collect();
+        // More clients than MAX_INFLIGHT, so the admission gate queues.
         std::thread::scope(|scope| {
-            for client in 0..8usize {
+            for client in 0..12usize {
                 let engine = &engine;
                 let expected = &expected;
                 scope.spawn(move || {

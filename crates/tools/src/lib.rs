@@ -310,6 +310,11 @@ pub fn serve_bench<S: Storage + Clone + 'static>(
 
 /// Describe how a progressive LOD read with `nreaders` would unfold.
 pub fn lod_stats<S: Storage>(storage: &S, nreaders: usize) -> Result<String, SpioError> {
+    if nreaders == 0 {
+        return Err(SpioError::Config(
+            "a LOD read needs at least one reader".into(),
+        ));
+    }
     let reader = DatasetReader::open(storage)?;
     let m = &reader.meta;
     let levels = m.lod.num_levels(nreaders as u64, m.total_particles);
@@ -739,6 +744,8 @@ mod tests {
         assert!(text.contains("400 particles"), "{text}");
         // P=32, S=2: 32, 64, 128, 176.
         assert!(text.contains("4 levels"), "{text}");
+        // Zero readers is an error, not an endless level walk.
+        assert!(lod_stats(&s, 0).is_err());
     }
 
     #[test]

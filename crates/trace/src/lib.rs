@@ -162,15 +162,6 @@ impl Trace {
         self.shared.is_some()
     }
 
-    /// Microseconds since the job epoch (0 for a disabled trace).
-    #[inline]
-    pub fn now_us(&self) -> u64 {
-        match &self.shared {
-            Some(s) => s.epoch.elapsed().as_micros() as u64,
-            None => 0,
-        }
-    }
-
     /// The metrics registry carried by this trace. Disabled traces return
     /// the inert registry, so callers can register instruments
     /// unconditionally.

@@ -362,31 +362,12 @@ impl JobReport {
         )
     }
 
-    /// Sum of a phase's time across ranks.
-    pub fn phase_sum(&self, phase: &str) -> Duration {
-        Duration::from_micros(
-            self.phases
-                .iter()
-                .filter(|p| p.phase == phase)
-                .map(|p| p.micros)
-                .sum(),
-        )
-    }
-
     /// Sorted distinct phase names.
     pub fn phase_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.phases.iter().map(|p| p.phase.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         names
-    }
-
-    /// The straggler ratio `max/mean` for `phase` (1.0 when unrecorded).
-    pub fn imbalance_ratio(&self, phase: &str) -> f64 {
-        self.imbalance
-            .iter()
-            .find(|r| r.phase == phase)
-            .map_or(1.0, ImbalanceRow::ratio)
     }
 
     /// Latency percentiles for one op kind.
@@ -427,16 +408,6 @@ impl JobReport {
     /// the job survived transient storage faults.
     pub fn retry_count(&self) -> usize {
         self.storage_op_count("retry")
-    }
-
-    /// Total chaos-injected fault events.
-    pub fn injected_fault_count(&self) -> u64 {
-        self.faults.iter().map(|f| f.injected).sum()
-    }
-
-    /// Total organic (non-injected) fault events.
-    pub fn organic_fault_count(&self) -> u64 {
-        self.faults.iter().map(|f| f.organic).sum()
     }
 
     // ---- serialization ----
@@ -922,7 +893,6 @@ mod tests {
         let r = sample_report();
         assert_eq!(r.phase_max("aggregation"), Duration::from_millis(30));
         assert_eq!(r.phase_max("file_io"), Duration::from_millis(30));
-        assert_eq!(r.phase_sum("aggregation"), Duration::from_millis(40));
         assert_eq!(r.phase_max("absent"), Duration::ZERO);
     }
 
@@ -984,9 +954,10 @@ mod tests {
         let row = r.imbalance.iter().find(|i| i.phase == "file_io").unwrap();
         assert_eq!(row.max_us, 40_000);
         assert_eq!(row.mean_us, 20_000);
-        assert!((r.imbalance_ratio("file_io") - 2.0).abs() < 1e-9);
-        assert!((r.imbalance_ratio("meta") - 1.0).abs() < 1e-9);
-        assert!((r.imbalance_ratio("absent") - 1.0).abs() < 1e-9);
+        assert!((row.ratio() - 2.0).abs() < 1e-9);
+        let meta = r.imbalance.iter().find(|i| i.phase == "meta").unwrap();
+        assert!((meta.ratio() - 1.0).abs() < 1e-9);
+        assert!(r.imbalance.iter().all(|i| i.phase != "absent"));
     }
 
     #[test]
@@ -1015,10 +986,10 @@ mod tests {
     #[test]
     fn fault_ledger_splits_injected_and_organic() {
         let r = sample_report();
-        assert_eq!(r.injected_fault_count(), 1);
-        assert_eq!(r.organic_fault_count(), 1);
         let transient = r.faults.iter().find(|f| f.kind == "transient").unwrap();
         assert_eq!((transient.injected, transient.organic), (1, 0));
+        let io_error = r.faults.iter().find(|f| f.kind == "io_error").unwrap();
+        assert_eq!((io_error.injected, io_error.organic), (0, 1));
         assert!(r.render().contains("injected"));
     }
 

@@ -4,16 +4,16 @@
 //! mapped to locations in the file using some ordering scheme, e.g.,
 //! row-order, Z-order, or HZ-order", with unstructured particles. The
 //! spatially-aware format does not need a per-particle curve, but Z-order
-//! is still useful at *file* granularity: ordering partitions along the
-//! curve keeps consecutive files spatially adjacent, which gives readers
-//! contiguous, compact file assignments.
+//! is still useful at *file* granularity: the spatial index sorts file
+//! centres along the curve so that neighbouring leaves hold neighbouring
+//! files.
 
 /// Interleave the low 21 bits of `x`, `y`, `z` into a 63-bit Morton code.
 ///
 /// ```
-/// use spio_types::zorder::{morton3, morton3_decode};
-/// let code = morton3(3, 5, 1);
-/// assert_eq!(morton3_decode(code), (3, 5, 1));
+/// use spio_types::zorder::morton3;
+/// // x = 0b11, y = 0b101, z = 0b1: bit i of x, y, z lands at 3i, 3i+1, 3i+2.
+/// assert_eq!(morton3(3, 5, 1), 0b010_001_111);
 /// ```
 pub fn morton3(x: u32, y: u32, z: u32) -> u64 {
     fn spread(v: u32) -> u64 {
@@ -27,27 +27,6 @@ pub fn morton3(x: u32, y: u32, z: u32) -> u64 {
         v
     }
     spread(x) | (spread(y) << 1) | (spread(z) << 2)
-}
-
-/// Inverse of [`morton3`].
-pub fn morton3_decode(code: u64) -> (u32, u32, u32) {
-    fn compact(v: u64) -> u32 {
-        let mut v = v & 0x1249249249249249;
-        v = (v | (v >> 2)) & 0x10C30C30C30C30C3;
-        v = (v | (v >> 4)) & 0x100F00F00F00F00F;
-        v = (v | (v >> 8)) & 0x1F0000FF0000FF;
-        v = (v | (v >> 16)) & 0x1F00000000FFFF;
-        v = (v | (v >> 32)) & 0x1F_FFFF;
-        v as u32
-    }
-    (compact(code), compact(code >> 1), compact(code >> 2))
-}
-
-/// Sort indices of 3-D integer coordinates into Z-order.
-pub fn zorder_permutation(coords: &[[u32; 3]]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..coords.len()).collect();
-    idx.sort_by_key(|&i| morton3(coords[i][0], coords[i][1], coords[i][2]));
-    idx
 }
 
 #[cfg(test)]
@@ -66,7 +45,14 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_up_to_21_bits() {
+    fn matches_bitwise_interleave_up_to_21_bits() {
+        let reference = |x: u32, y: u32, z: u32| {
+            (0..21).fold(0u64, |code, i| {
+                code | (u64::from(x >> i & 1) << (3 * i))
+                    | (u64::from(y >> i & 1) << (3 * i + 1))
+                    | (u64::from(z >> i & 1) << (3 * i + 2))
+            })
+        };
         for &(x, y, z) in &[
             (0u32, 0, 0),
             (1, 2, 3),
@@ -74,7 +60,7 @@ mod tests {
             (0x1F_FFFF, 0, 0x1F_FFFF),
             (123_456, 654_321 & 0x1F_FFFF, 42),
         ] {
-            assert_eq!(morton3_decode(morton3(x, y, z)), (x, y, z));
+            assert_eq!(morton3(x, y, z), reference(x, y, z));
         }
     }
 
@@ -84,21 +70,5 @@ mod tests {
         let lo = morton3(3, 3, 3);
         let hi = morton3(4, 0, 0);
         assert!(lo < hi, "octant boundary ordering");
-    }
-
-    #[test]
-    fn permutation_is_a_permutation_and_locality_friendly() {
-        // 4×4×1 grid of cells in row-major order.
-        let coords: Vec<[u32; 3]> = (0..16).map(|i| [i % 4, i / 4, 0]).collect();
-        let perm = zorder_permutation(&coords);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..16).collect::<Vec<_>>());
-        // The first four Z-order entries form the 2×2 corner block — the
-        // locality property row-major lacks.
-        let first: Vec<[u32; 3]> = perm[..4].iter().map(|&i| coords[i]).collect();
-        for c in &first {
-            assert!(c[0] < 2 && c[1] < 2, "corner block expected, got {c:?}");
-        }
     }
 }

@@ -396,8 +396,7 @@ impl<C: CollectiveComm> Comm for CheckedComm<C> {
             got
         })
         // The handle stays in `outstanding` when dropped unwaited — that
-        // is exactly the leak finalize reports. The inner handle's own
-        // drop hook releases the mailbox reservation.
+        // is exactly the leak finalize reports.
     }
 
     fn recv(&self, src: Rank, tag: Tag) -> Result<Vec<u8>, SpioError> {

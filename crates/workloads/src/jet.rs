@@ -95,25 +95,6 @@ pub fn jet_patch_particles(
     out
 }
 
-/// Per-rank particle counts for the jet workload without materializing
-/// particles (used by the simulator at large scale).
-pub fn jet_counts(decomp: &DomainDecomposition, spec: &JetSpec, seed: u64) -> Vec<u64> {
-    let mut rng = rank_rng(seed, usize::MAX >> 1);
-    let e = decomp.bounds.extent();
-    let lo = decomp.bounds.lo;
-    let mut counts = vec![0u64; decomp.nprocs()];
-    for _ in 0..spec.total_particles {
-        let u = spec.sample_unit(&mut rng);
-        let p = [
-            lo[0] + u[0] * e[0],
-            lo[1] + u[1] * e[1],
-            lo[2] + u[2] * e[2],
-        ];
-        counts[decomp.rank_containing(p)] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,27 +122,19 @@ mod tests {
     }
 
     #[test]
-    fn counts_match_materialized_particles() {
-        let d = decomp();
-        let spec = small_spec();
-        let counts = jet_counts(&d, &spec, 3);
-        for (r, &c) in counts.iter().enumerate() {
-            assert_eq!(c as usize, jet_patch_particles(&d, r, &spec, 3).len());
-        }
-    }
-
-    #[test]
     fn plume_hugs_the_inlet() {
         let d = decomp();
         let spec = small_spec();
-        let counts = jet_counts(&d, &spec, 7);
+        let counts: Vec<usize> = (0..d.nprocs())
+            .map(|r| jet_patch_particles(&d, r, &spec, 7).len())
+            .collect();
         // Patches at x < 0.5 (ranks with coord x = 0) must hold the large
         // majority of particles for a penetration-0.7 triangular profile.
-        let near: u64 = (0..d.nprocs())
+        let near: usize = (0..d.nprocs())
             .filter(|&r| d.patch_coords(r)[0] == 0)
             .map(|r| counts[r])
             .sum();
-        let total: u64 = counts.iter().sum();
+        let total: usize = counts.iter().sum();
         assert!(
             near as f64 > 0.7 * total as f64,
             "inlet half holds {near}/{total}"

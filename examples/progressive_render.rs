@@ -63,11 +63,11 @@ fn main() -> Result<(), SpioError> {
 
     // Progressive refinement: one reader appends level after level.
     let reader = DatasetReader::open(&storage)?;
-    let mut lod = LodReader::open(&storage, 1, 0)?;
+    let mut lod = reader.lod_box_cursor(&reader.meta.domain, 1);
     let mut loaded: Vec<Particle> = Vec::new();
-    let levels = lod.cursor.num_levels();
+    let levels = lod.num_levels();
     for level in 0..levels {
-        let (more, stats) = lod.cursor.read_next_level(&storage)?;
+        let (more, stats) = lod.read_next_level(&storage)?;
         loaded.extend(more);
         // Draw only a few snapshots to keep the output short.
         let frac = loaded.len() as f64 / reader.meta.total_particles as f64;

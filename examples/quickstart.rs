@@ -54,14 +54,14 @@ fn main() -> Result<(), SpioError> {
     );
 
     // Level-of-detail read: a file prefix is a uniform subsample.
-    let mut lod = LodReader::open(&storage, 1, 0)?;
-    let (coarse, _) = lod.cursor.read_next_level(&storage)?;
+    let mut lod = reader.lod_box_cursor(&reader.meta.domain, 1);
+    let (coarse, _) = lod.read_next_level(&storage)?;
     println!(
         "LOD level 0: {} representative particles (of {})",
         coarse.len(),
         reader.meta.total_particles
     );
-    let (next, _) = lod.cursor.read_next_level(&storage)?;
+    let (next, _) = lod.read_next_level(&storage)?;
     println!("LOD level 1 appends {} more", next.len());
 
     println!("dataset files live in {}", dir.display());

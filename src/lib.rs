@@ -45,7 +45,7 @@ pub mod prelude {
     pub use spio_comm::{run_threaded, Comm, ThreadComm};
     pub use spio_core::{
         AdaptiveGrid, AggregationGrid, BoxQueryReader, ChaosConfig, ChaosStorage, FsStorage,
-        LodReader, RetryPolicy, RetryStorage, SpatialWriter, Storage, WriterConfig,
+        LodCursor, RetryPolicy, RetryStorage, SpatialWriter, Storage, WriterConfig,
     };
     pub use spio_format::{LodParams, SpatialMetadata};
     pub use spio_types::{

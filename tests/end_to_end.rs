@@ -93,13 +93,14 @@ fn parallel_readers_cover_dataset_disjointly() {
 fn lod_read_over_fs_is_progressive_and_complete() {
     let dir = spio_util::tempdir().unwrap();
     let storage = write_uniform(dir.path(), (2, 2, 2), (2, 2, 2), 1000, false);
-    let mut reader = LodReader::open(&storage, 1, 0).unwrap();
-    let levels = reader.cursor.num_levels();
+    let reader = DatasetReader::open(&storage).unwrap();
+    let mut cursor = reader.lod_box_cursor(&reader.meta.domain, 1);
+    let levels = cursor.num_levels();
     assert!(levels > 3);
     let mut sizes = Vec::new();
     let mut all: Vec<Particle> = Vec::new();
     for _ in 0..levels {
-        let (ps, _) = reader.cursor.read_next_level(&storage).unwrap();
+        let (ps, _) = cursor.read_next_level(&storage).unwrap();
         sizes.push(ps.len());
         all.extend(ps);
     }

@@ -66,9 +66,11 @@ fn different_reader_counts_see_consistent_level_structure() {
         let st = storage.clone();
         let counts = spio_comm::run_threaded_collect(n, move |comm| {
             use spio_comm::Comm;
-            let mut lr = LodReader::open(&st, comm.size(), comm.rank()).unwrap();
-            let levels = lr.cursor.num_levels();
-            let (ps, _) = lr.cursor.read_through_level(&st, levels - 1).unwrap();
+            let meta = DatasetReader::open(&st).unwrap().meta;
+            let files = LodCursor::files_for_reader(&meta, comm.size(), comm.rank());
+            let mut cursor = LodCursor::new(&meta, &files, comm.size());
+            let levels = cursor.num_levels();
+            let (ps, _) = cursor.read_through_level(&st, levels - 1).unwrap();
             ps.len()
         })
         .unwrap();
